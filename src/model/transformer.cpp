@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <limits>
 
 #include "model/kv_block.hpp"
@@ -73,8 +72,8 @@ void accumulate_dk(const float* dscores, const float* q, float* dk, int t,
 // threshold. Each (b, head) slot touches disjoint slices of the activation
 // buffers, and every slot is computed exactly as in the sequential loop, so
 // results are bit-identical at any thread count.
-void for_each_head(int batch, int h, std::size_t madds,
-                   const std::function<void(int, int)>& body) {
+template <typename Body>
+void for_each_head(int batch, int h, std::size_t madds, const Body& body) {
   const int slots = batch * h;
   if (slots > 1 && madds >= nn::parallel_threshold() &&
       !util::ThreadPool::in_worker()) {
@@ -92,7 +91,8 @@ void for_each_head(int batch, int h, std::size_t madds,
 }  // namespace
 
 Transformer::Transformer(const ModelConfig& config, std::uint64_t seed)
-    : config_(config) {
+    : config_(config),
+      rotary_(nn::rotary_table(config.ctx, config.rotary_dim())) {
   assert(config_.valid());
   util::Rng rng(seed);
   const int d = config_.d_model;
@@ -139,6 +139,7 @@ Transformer::Transformer(const ModelConfig& config, std::uint64_t seed)
 void Transformer::set_context_window(std::int32_t ctx) {
   assert(ctx >= 8);
   config_.ctx = ctx;
+  rotary_ = nn::rotary_table(ctx, config_.rotary_dim());
 }
 
 std::int64_t Transformer::param_count() const {
@@ -209,7 +210,6 @@ float Transformer::run(std::span<const std::int32_t> x,
   const int d = config_.d_model;
   const int h = config_.n_head;
   const int hd = config_.head_dim();
-  const int rot = config_.rotary_dim();
   const int ff = config_.d_ff;
   const int v = config_.vocab;
   const int rows = batch * t;
@@ -263,8 +263,8 @@ float Transformer::run(std::span<const std::int32_t> x,
           std::memcpy(&vh[static_cast<std::size_t>(i) * hd],
                       row + 2 * d + head * hd, hd * sizeof(float));
         }
-        nn::rotary(qh.data(), t, hd, rot, 0);
-        nn::rotary(kh.data(), t, hd, rot, 0);
+        nn::rotary(qh.data(), t, hd, rotary_, 0);
+        nn::rotary(kh.data(), t, hd, rotary_, 0);
         // Write the rotated q/k back so the backward pass sees them.
         for (int i = 0; i < t; ++i) {
           float* row =
@@ -419,8 +419,8 @@ float Transformer::run(std::span<const std::int32_t> x,
         nn::matmul(dscores.data(), kh.data(), dqh.data(), t, t, hd);
         std::fill(dkh.begin(), dkh.end(), 0.0f);
         accumulate_dk(dscores.data(), qh.data(), dkh.data(), t, hd);
-        nn::rotary_backward(dqh.data(), t, hd, rot, 0);
-        nn::rotary_backward(dkh.data(), t, hd, rot, 0);
+        nn::rotary_backward(dqh.data(), t, hd, rotary_, 0);
+        nn::rotary_backward(dkh.data(), t, hd, rotary_, 0);
         for (int i = 0; i < t; ++i) {
           float* row =
               dqkv.data() + (static_cast<std::size_t>(b) * t + i) * 3 * d;
@@ -726,61 +726,130 @@ std::span<const float> Transformer::decode_step(KvCache& cache,
   return cache.logits;
 }
 
+namespace {
+
+// The calling thread's working memory for one fused decode step. Buffers
+// only grow, so a serving thread stops allocating once it has seen its
+// widest step. Each thread has its own (decode is re-entrant across
+// threads), and a step never runs inside another step on the same thread:
+// the attention shards it hands the pool use their own `att` row. See
+// DESIGN.md, "Decode kernels".
+struct StepScratch {
+  // One per fed cache: its rows end at position `count` after this step.
+  struct Seq {
+    Transformer::KvCache* cache;
+    int count;
+  };
+  std::vector<Seq> seqs;
+  // Row r appends row_token[r] to seqs[row_seq[r]] at position row_pos[r].
+  std::vector<int> row_seq, row_pos;
+  std::vector<std::int32_t> row_token;
+  Vec x, a1, qkv, mix, tmp, a2, fc, mean, rstd, logits_all;
+  std::vector<std::vector<KvRun>> runs;
+};
+
+StepScratch& step_scratch() {
+  thread_local StepScratch scratch;
+  return scratch;
+}
+
+// The calling thread's scratch, emptied of the previous step's rows.
+StepScratch& begin_step() {
+  StepScratch& scratch = step_scratch();
+  scratch.seqs.clear();
+  scratch.row_seq.clear();
+  scratch.row_pos.clear();
+  scratch.row_token.clear();
+  return scratch;
+}
+
+// Flattens one feed: `tokens` are appended to `cache` in order, one row
+// each. Runs keep their feed order, so row-major row logits line up with
+// the drafted chains.
+void add_feed(StepScratch& scratch, Transformer::KvCache& cache,
+              std::span<const std::int32_t> tokens, const ModelConfig& config) {
+  const int run = static_cast<int>(tokens.size());
+  assert(cache.length + run <= config.ctx);
+  const int seq = static_cast<int>(scratch.seqs.size());
+  scratch.seqs.push_back({&cache, cache.length + run});
+  for (int j = 0; j < run; ++j) {
+    const int p = cache.length + j;
+    const std::int32_t token = tokens[static_cast<std::size_t>(j)];
+    assert(token >= 0 && token < config.vocab);
+    scratch.row_seq.push_back(seq);
+    scratch.row_pos.push_back(p);
+    scratch.row_token.push_back(token);
+    prepare_append(cache, p, config.ctx);
+  }
+}
+
+// One attention row: scores against `count` cached rows, walked in logical
+// row order. Lives per thread because attention shards run on pool lanes.
+Vec& attention_row(std::size_t size) {
+  thread_local Vec att;
+  if (att.size() < size) att.resize(size);
+  return att;
+}
+
+}  // namespace
+
 void Transformer::decode_step_batch(
     std::span<KvCache* const> caches,
     std::span<const std::int32_t> tokens) const {
   assert(tokens.size() == caches.size());
-  const std::size_t n = caches.size();
-  if (n == 0) return;
-  std::vector<SpanFeed> feeds(n);
-  for (std::size_t s = 0; s < n; ++s)
-    feeds[s] = SpanFeed{caches[s], tokens.subspan(s, 1)};
-  verify_step_batch(feeds);
+  StepScratch& scratch = begin_step();
+  for (std::size_t s = 0; s < caches.size(); ++s)
+    add_feed(scratch, *caches[s], tokens.subspan(s, 1), config_);
+  forward_rows(nullptr);
 }
 
 void Transformer::verify_step_batch(std::span<const SpanFeed> feeds,
                                     std::vector<float>* row_logits) const {
+  StepScratch& scratch = begin_step();
+  for (const SpanFeed& feed : feeds)
+    add_feed(scratch, *feed.cache, feed.tokens, config_);
+  forward_rows(row_logits);
+}
+
+void Transformer::forward_rows(std::vector<float>* row_logits) const {
+  StepScratch& scratch = step_scratch();
   const int d = config_.d_model;
   const int h = config_.n_head;
   const int hd = config_.head_dim();
-  const int rot = config_.rotary_dim();
   const int ff = config_.d_ff;
   const int v = config_.vocab;
   const float att_scale = 1.0f / std::sqrt(static_cast<float>(hd));
-
-  // Flatten the feeds into rows: row r appends token row_token[r] to
-  // feeds[row_feed[r]].cache at position row_pos[r]. Runs keep their feed
-  // order, so row-major row_logits line up with the drafted chains.
-  std::vector<int> row_feed, row_pos, base(feeds.size());
-  std::vector<std::int32_t> row_token;
-  for (std::size_t s = 0; s < feeds.size(); ++s) {
-    KvCache& cache = *feeds[s].cache;
-    base[s] = cache.length;
-    assert(cache.length + static_cast<int>(feeds[s].tokens.size()) <=
-           config_.ctx);
-    for (std::size_t j = 0; j < feeds[s].tokens.size(); ++j) {
-      const int p = cache.length + static_cast<int>(j);
-      assert(feeds[s].tokens[j] >= 0 && feeds[s].tokens[j] < config_.vocab);
-      row_feed.push_back(static_cast<int>(s));
-      row_pos.push_back(p);
-      row_token.push_back(feeds[s].tokens[j]);
-      prepare_append(cache, p, config_.ctx);
-    }
-  }
-  const int n = static_cast<int>(row_token.size());
+  const std::vector<int>& row_seq = scratch.row_seq;
+  const std::vector<int>& row_pos = scratch.row_pos;
+  const int n = static_cast<int>(scratch.row_token.size());
   if (n == 0) return;
 
   const std::size_t nd = static_cast<std::size_t>(n) * d;
-  Vec x(nd);
+  Vec& x = scratch.x;
+  x.resize(nd);
   for (int r = 0; r < n; ++r)
     std::memcpy(x.data() + static_cast<std::size_t>(r) * d,
                 wte_.w.data() +
                     static_cast<std::size_t>(
-                        row_token[static_cast<std::size_t>(r)]) *
+                        scratch.row_token[static_cast<std::size_t>(r)]) *
                         d,
                 d * sizeof(float));
-  Vec a1(nd), qkv(static_cast<std::size_t>(n) * 3 * d), mix(nd), tmp(nd),
-      a2(nd), fc(static_cast<std::size_t>(n) * ff), mean(n), rstd(n);
+  Vec& a1 = scratch.a1;
+  Vec& qkv = scratch.qkv;
+  Vec& mix = scratch.mix;
+  Vec& tmp = scratch.tmp;
+  Vec& a2 = scratch.a2;
+  Vec& fc = scratch.fc;
+  Vec& mean = scratch.mean;
+  Vec& rstd = scratch.rstd;
+  a1.resize(nd);
+  qkv.resize(static_cast<std::size_t>(n) * 3 * d);
+  mix.resize(nd);
+  tmp.resize(nd);
+  a2.resize(nd);
+  fc.resize(static_cast<std::size_t>(n) * ff);
+  mean.resize(static_cast<std::size_t>(n));
+  rstd.resize(static_cast<std::size_t>(n));
 
   // Attention work this step: q·K^T plus probs·V per (row, head).
   std::size_t att_madds = 0;
@@ -790,7 +859,8 @@ void Transformer::verify_step_batch(std::span<const SpanFeed> feeds,
         static_cast<std::size_t>(row_pos[static_cast<std::size_t>(r)] + 1) *
         static_cast<std::size_t>(hd);
 
-  std::vector<std::vector<KvRun>> runs(feeds.size());
+  std::vector<std::vector<KvRun>>& runs = scratch.runs;
+  if (runs.size() < scratch.seqs.size()) runs.resize(scratch.seqs.size());
 
   for (std::size_t li = 0; li < layers_.size(); ++li) {
     const Layer& L = layers_[li];
@@ -806,13 +876,13 @@ void Transformer::verify_step_batch(std::span<const SpanFeed> feeds,
     for (int r = 0; r < n; ++r) {
       float* row = qkv.data() + static_cast<std::size_t>(r) * 3 * d;
       const int p = row_pos[static_cast<std::size_t>(r)];
-      KvCache& cache = *feeds[static_cast<std::size_t>(
-                                  row_feed[static_cast<std::size_t>(r)])]
-                            .cache;
+      const std::size_t seq =
+          static_cast<std::size_t>(row_seq[static_cast<std::size_t>(r)]);
+      KvCache& cache = *scratch.seqs[seq].cache;
       // Rotate q and k at this row's position.
       for (int head = 0; head < h; ++head) {
-        nn::rotary(row + head * hd, 1, hd, rot, p);
-        nn::rotary(row + d + head * hd, 1, hd, rot, p);
+        nn::rotary(row + head * hd, 1, hd, rotary_, p);
+        nn::rotary(row + d + head * hd, 1, hd, rotary_, p);
       }
       // Append rotated k and v.
       std::memcpy(key_append_row(cache, static_cast<int>(li), p), row + d,
@@ -823,31 +893,26 @@ void Transformer::verify_step_batch(std::span<const SpanFeed> feeds,
     // All of this layer's rows are appended; each attention row below caps
     // its walk at its own causal horizon (earlier rows of the same run
     // included, later ones not).
-    for (std::size_t s = 0; s < feeds.size(); ++s)
-      collect_runs(*feeds[s].cache, static_cast<int>(li),
-                   base[s] + static_cast<int>(feeds[s].tokens.size()),
-                   runs[s]);
+    for (std::size_t s = 0; s < scratch.seqs.size(); ++s)
+      collect_runs(*scratch.seqs[s].cache, static_cast<int>(li),
+                   scratch.seqs[s].count, runs[s]);
 
     for_each_head(n, h, att_madds, [&](int s0, int s1) {
-      Vec att(static_cast<std::size_t>(config_.ctx));
+      Vec& att = attention_row(static_cast<std::size_t>(config_.ctx));
       for (int slot = s0; slot < s1; ++slot) {
         const int r = slot / h;
         const int head = slot % h;
         const std::size_t s =
-            static_cast<std::size_t>(row_feed[static_cast<std::size_t>(r)]);
+            static_cast<std::size_t>(row_seq[static_cast<std::size_t>(r)]);
         const float* q =
             qkv.data() + static_cast<std::size_t>(r) * 3 * d + head * hd;
         const int count = row_pos[static_cast<std::size_t>(r)] + 1;
         int j = 0;
         for (const KvRun& run : runs[s]) {
           const int rows = std::min(run.rows, count - j);
-          for (int rr = 0; rr < rows; ++rr) {
-            const float* krow =
-                run.k + static_cast<std::size_t>(rr) * d + head * hd;
-            float acc = 0.0f;
-            for (int c = 0; c < hd; ++c) acc += q[c] * krow[c];
-            att[static_cast<std::size_t>(j++)] = acc * att_scale;
-          }
+          nn::attention_scores(q, run.k + head * hd, d, rows, hd, att_scale,
+                               att.data() + j);
+          j += rows;
           if (j >= count) break;
         }
         nn::softmax(att.data(), att.data(), 1, count);
@@ -856,12 +921,9 @@ void Transformer::verify_step_batch(std::span<const SpanFeed> feeds,
         j = 0;
         for (const KvRun& run : runs[s]) {
           const int rows = std::min(run.rows, count - j);
-          for (int rr = 0; rr < rows; ++rr) {
-            const float w = att[static_cast<std::size_t>(j++)];
-            const float* vrow =
-                run.v + static_cast<std::size_t>(rr) * d + head * hd;
-            for (int c = 0; c < hd; ++c) out[c] += w * vrow[c];
-          }
+          nn::attention_mix(att.data() + j, run.v + head * hd, d, rows, hd,
+                            out);
+          j += rows;
           if (j >= count) break;
         }
       }
@@ -882,18 +944,19 @@ void Transformer::verify_step_batch(std::span<const SpanFeed> feeds,
   }
   nn::layernorm(x.data(), lnf_g_.w.data(), lnf_b_.w.data(), a1.data(),
                 mean.data(), rstd.data(), n, d);
-  Vec logits_all(static_cast<std::size_t>(n) * v);
+  Vec& logits_all = scratch.logits_all;
+  logits_all.resize(static_cast<std::size_t>(n) * v);
   nn::matmul(a1.data(), head_.w.data(), logits_all.data(), n, d, v);
   if (row_logits)
-    row_logits->assign(logits_all.begin(), logits_all.end());
+    row_logits->assign(logits_all.begin(),
+                       logits_all.begin() + static_cast<std::ptrdiff_t>(n) * v);
   for (int r = 0; r < n; ++r) {
     const std::size_t s =
-        static_cast<std::size_t>(row_feed[static_cast<std::size_t>(r)]);
-    KvCache& cache = *feeds[s].cache;
+        static_cast<std::size_t>(row_seq[static_cast<std::size_t>(r)]);
+    KvCache& cache = *scratch.seqs[s].cache;
     // The run's last row becomes the cache's next-token logits.
-    if (static_cast<std::size_t>(r + 1) == row_token.size() ||
-        static_cast<std::size_t>(
-            row_feed[static_cast<std::size_t>(r + 1)]) != s)
+    if (r + 1 == n ||
+        static_cast<std::size_t>(row_seq[static_cast<std::size_t>(r + 1)]) != s)
       cache.logits.assign(
           logits_all.begin() + static_cast<std::ptrdiff_t>(r) * v,
           logits_all.begin() + static_cast<std::ptrdiff_t>(r + 1) * v);

@@ -16,6 +16,7 @@
 
 #include "model/config.hpp"
 #include "nn/adamw.hpp"
+#include "nn/ops.hpp"
 #include "nn/tensor.hpp"
 #include "obs/trace.hpp"
 #include "util/deadline.hpp"
@@ -35,8 +36,12 @@ class Transformer {
   // Changes the runtime context window. Weights are position-independent
   // (rotary embeddings), so the same checkpoint can train or decode at any
   // window size — which is how the context-window ablation (512/1024/2048
-  // in Table V) reuses one pre-trained model.
+  // in Table V) reuses one pre-trained model. Rebuilds the rotary table.
   void set_context_window(std::int32_t ctx);
+
+  // The rotary angles for every position below ctx, read by training and
+  // decoding alike.
+  const nn::RotaryTable& rotary_table() const { return rotary_; }
 
   // Runs a training micro-batch: inputs x[B*T], next-token targets
   // y[B*T] (ignore_index = -1 for padding). Returns the mean loss and
@@ -137,7 +142,7 @@ class Transformer {
   // the same pass just appended, in logical row order, so each position's
   // logits are bit-identical to feeding its run through sequential
   // decode_step calls — at any WISDOM_THREADS. decode_step_batch is the
-  // all-runs-length-1 special case and delegates here.
+  // all-runs-length-1 special case; both run the same fused pass.
   //
   // When `row_logits` is non-null it receives the per-position logits,
   // row-major over the flattened feed order (sum of run lengths x vocab) —
@@ -272,7 +277,12 @@ class Transformer {
   float run(std::span<const std::int32_t> x, std::span<const std::int32_t> y,
             int batch, int t, bool backward);
 
+  // Appends row_token[r] at row_pos[r] of its sequence's cache for every
+  // row the caller flattened into the calling thread's step scratch.
+  void forward_rows(std::vector<float>* row_logits) const;
+
   ModelConfig config_;
+  nn::RotaryTable rotary_;
   nn::Param wte_;
   std::vector<Layer> layers_;
   nn::Param lnf_g_, lnf_b_;

@@ -1,7 +1,11 @@
 #include "nn/ops.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "util/thread_pool.hpp"
 
@@ -22,33 +26,104 @@ bool pool_worthwhile(std::size_t madds) {
 // as the full sequential loop would (same per-element accumulation order),
 // so the sharded result is bit-identical to the sequential one.
 
-void matmul_rows(const float* a, const float* b, float* c, int i0, int i1,
-                 int k, int n) {
-  for (int i = i0; i < i1; ++i) {
-    const float* arow = a + static_cast<std::size_t>(i) * k;
-    float* crow = c + static_cast<std::size_t>(i) * n;
-    std::memset(crow, 0, static_cast<std::size_t>(n) * sizeof(float));
-    for (int p = 0; p < k; ++p) {
-      const float av = arow[p];
+// --- forward matmul: register-tiled ----------------------------------------
+//
+// Every c[i][j] is the sum of a[i][p] * b[p][j] over ascending p, starting
+// from 0 and skipping p where a[i][p] == 0, written as `acc += av * b` so
+// the compiler contracts it (or not) the same way everywhere. Tiles only
+// decide where the accumulators live: an R x 8G tile keeps them in vector
+// registers for the whole p loop, and its R rows share each load of a
+// weight row. Columns left over after the 8-wide groups go through the
+// plain row loop. See DESIGN.md, "Decode kernels".
+
+using Vec8 = float __attribute__((vector_size(32)));
+// Unaligned, aliasing view of 8 floats for loads and stores.
+using Vec8Ref = float __attribute__((vector_size(32), aligned(4), may_alias));
+
+template <int R, int G>
+void matmul_tile(const float* a, const float* b, float* c, int k, int n) {
+  Vec8 acc[R][G] = {};
+  for (int p = 0; p < k; ++p) {
+    const float* brow = b + static_cast<std::size_t>(p) * n;
+    Vec8 bv[G];
+    for (int g = 0; g < G; ++g)
+      bv[g] = *reinterpret_cast<const Vec8Ref*>(brow + 8 * g);
+    for (int r = 0; r < R; ++r) {
+      const float av = a[static_cast<std::size_t>(r) * k + p];
       if (av == 0.0f) continue;
-      const float* brow = b + static_cast<std::size_t>(p) * n;
-      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
+      for (int g = 0; g < G; ++g) acc[r][g] += av * bv[g];
     }
+  }
+  for (int r = 0; r < R; ++r)
+    for (int g = 0; g < G; ++g)
+      *reinterpret_cast<Vec8Ref*>(c + static_cast<std::size_t>(r) * n +
+                                  8 * g) = acc[r][g];
+}
+
+using TileFn = void (*)(const float*, const float*, float*, int, int);
+
+template <int R, std::size_t... G>
+constexpr std::array<TileFn, sizeof...(G)> tile_table(
+    std::index_sequence<G...>) {
+  return {&matmul_tile<R, static_cast<int>(G) + 1>...};
+}
+
+// Widest tile per row count, in 8-column groups: a single row gets up to
+// 128 accumulator columns (16 registers with AVX-512's register file), a
+// 4-row tile up to 48 columns (24 registers). Measured on the served
+// shapes; narrower tiles leave the p loop bound by FMA latency.
+#if defined(__AVX512F__)
+constexpr int kMaxGroups1 = 16;
+constexpr int kMaxGroups4 = 6;
+#else
+constexpr int kMaxGroups1 = 8;
+constexpr int kMaxGroups4 = 2;
+#endif
+constexpr auto kTiles1 =
+    tile_table<1>(std::make_index_sequence<kMaxGroups1>());
+constexpr auto kTiles4 =
+    tile_table<4>(std::make_index_sequence<kMaxGroups4>());
+
+// Rows [i, i+R) over `groups` 8-column groups starting at column j0, split
+// into the fewest tiles of near-equal width.
+template <int R>
+void matmul_row_tiles(const float* a, const float* b, float* c, int i, int j0,
+                      int groups, int k, int n) {
+  const TileFn* tiles = R == 1 ? kTiles1.data() : kTiles4.data();
+  const int max_groups = R == 1 ? kMaxGroups1 : kMaxGroups4;
+  const int count = (groups + max_groups - 1) / max_groups;
+  const float* arow = a + static_cast<std::size_t>(i) * k;
+  float* crow = c + static_cast<std::size_t>(i) * n;
+  int j = j0;
+  for (int t = 0; t < count; ++t) {
+    const int g = groups / count + (t < groups % count ? 1 : 0);
+    tiles[g - 1](arow, b + j, crow + j, k, n);
+    j += 8 * g;
   }
 }
 
-void matmul_cols(const float* a, const float* b, float* c, int m, int k,
-                 int j0, int j1, int n) {
-  for (int i = 0; i < m; ++i) {
+// C[i0..i1) x [j0..j1) of C = A * B.
+void matmul_block(const float* a, const float* b, float* c, int i0, int i1,
+                  int j0, int j1, int k, int n) {
+  const int groups = (j1 - j0) / 8;
+  if (groups > 0) {
+    int i = i0;
+    for (; i + 4 <= i1; i += 4)
+      matmul_row_tiles<4>(a, b, c, i, j0, groups, k, n);
+    for (; i < i1; ++i) matmul_row_tiles<1>(a, b, c, i, j0, groups, k, n);
+  }
+  const int tail = j0 + 8 * groups;
+  if (tail == j1) return;
+  for (int i = i0; i < i1; ++i) {
     const float* arow = a + static_cast<std::size_t>(i) * k;
     float* crow = c + static_cast<std::size_t>(i) * n;
-    std::memset(crow + j0, 0,
-                static_cast<std::size_t>(j1 - j0) * sizeof(float));
+    std::memset(crow + tail, 0,
+                static_cast<std::size_t>(j1 - tail) * sizeof(float));
     for (int p = 0; p < k; ++p) {
       const float av = arow[p];
       if (av == 0.0f) continue;
       const float* brow = b + static_cast<std::size_t>(p) * n;
-      for (int j = j0; j < j1; ++j) crow[j] += av * brow[j];
+      for (int j = tail; j < j1; ++j) crow[j] += av * brow[j];
     }
   }
 }
@@ -127,6 +202,117 @@ void matmul_db_rows(const float* a, const float* dc, float* db, int p0,
   }
 }
 
+// --- single-query attention --------------------------------------------------
+
+using Vec4 = float __attribute__((vector_size(16)));
+using Vec4Ref = float __attribute__((vector_size(16), aligned(4), may_alias));
+
+Vec8 load8(const float* p) { return *reinterpret_cast<const Vec8Ref*>(p); }
+Vec4 load4(const float* p) { return *reinterpret_cast<const Vec4Ref*>(p); }
+
+// Lane u of the result is the pairwise sum of y[u]'s lanes:
+// ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)). Every add takes
+// shuffled operands, so no add chain exists for the compiler to
+// reassociate.
+Vec8 reduce_lanes(const Vec8 (&y)[8]) {
+  Vec8 a[4];
+  for (int u = 0; u < 4; ++u)
+    a[u] = __builtin_shufflevector(y[2 * u], y[2 * u + 1], 0, 1, 2, 3, 8, 9,
+                                   10, 11) +
+           __builtin_shufflevector(y[2 * u], y[2 * u + 1], 4, 5, 6, 7, 12,
+                                   13, 14, 15);
+  // b[0] = rows 0, 2, 1, 3 and b[1] = rows 4, 6, 5, 7, two lanes each.
+  Vec8 b[2];
+  for (int u = 0; u < 2; ++u)
+    b[u] = __builtin_shufflevector(a[2 * u], a[2 * u + 1], 0, 1, 8, 9, 4, 5,
+                                   12, 13) +
+           __builtin_shufflevector(a[2 * u], a[2 * u + 1], 2, 3, 10, 11, 6,
+                                   7, 14, 15);
+  // Rows 0, 2, 4, 6, 1, 3, 5, 7.
+  const Vec8 s =
+      __builtin_shufflevector(b[0], b[1], 0, 2, 8, 10, 4, 6, 12, 14) +
+      __builtin_shufflevector(b[0], b[1], 1, 3, 9, 11, 5, 7, 13, 15);
+  return __builtin_shufflevector(s, s, 0, 4, 1, 5, 2, 6, 3, 7);
+}
+
+// Lane u: q . k[u] in the order attention_scores documents.
+inline Vec8 dot_rows8(const float* q, const float* const (&k)[8], int hd) {
+  int c = 0;
+  Vec8 y[8];
+  if (hd >= 16) {
+    Vec8 lo[8] = {}, hi[8] = {};
+    for (; c + 16 <= hd; c += 16) {
+      const Vec8 qlo = load8(q + c), qhi = load8(q + c + 8);
+      for (int u = 0; u < 8; ++u) {
+        lo[u] += qlo * load8(k[u] + c);
+        hi[u] += qhi * load8(k[u] + c + 8);
+      }
+    }
+    for (int u = 0; u < 8; ++u) y[u] = hi[u] + lo[u];
+    if (hd - c >= 8) {
+      const Vec8 qv = load8(q + c);
+      for (int u = 0; u < 8; ++u) y[u] += qv * load8(k[u] + c);
+      c += 8;
+    }
+  } else if (hd >= 8) {
+    const Vec8 qv = load8(q);
+    for (int u = 0; u < 8; ++u) y[u] = qv * load8(k[u]);
+    c = 8;
+  }
+  Vec8 acc = {};
+  if (c > 0) acc = reduce_lanes(y);
+  for (; c < hd; ++c)
+    acc += q[c] * Vec8{k[0][c], k[1][c], k[2][c], k[3][c], k[4][c], k[5][c],
+                       k[6][c], k[7][c]};
+  return acc;
+}
+
+// attention_mix over channels [0, 8 * F + T) of a block: F full 8-lane
+// accumulators plus a T-channel tail, all held in registers. The tail
+// loads 4 lanes when it has them; its last T % 4 channels are loaded one
+// by one into the lanes of a 4-lane accumulator, since reading past the
+// head's channels could run off the end of the cache. Every accumulator is
+// a vector, so the row loop is never vectorized into a reassociated
+// reduction.
+template <int F, int T>
+void mix_block(const float* w, const float* v, int stride, int rows,
+               float* out) {
+  constexpr int S = T % 4;  // tail channels loaded one by one
+  Vec8 acc[F > 0 ? F : 1];
+  for (int b = 0; b < F; ++b) acc[b] = load8(out + 8 * b);
+  float* tail = out + 8 * F;
+  Vec4 acc4 = {}, accs = {};
+  if constexpr (T >= 4) acc4 = load4(tail);
+  for (int t = 0; t < S; ++t) accs[t] = tail[T - S + t];
+  for (int i = 0; i < rows; ++i) {
+    const float wi = w[i];
+    const float* vr = v + static_cast<std::size_t>(i) * stride;
+    for (int b = 0; b < F; ++b) acc[b] += wi * load8(vr + 8 * b);
+    if constexpr (T >= 4) acc4 += wi * load4(vr + 8 * F);
+    if constexpr (S > 0) {
+      Vec4 sv = {};
+      for (int t = 0; t < S; ++t) sv[t] = vr[8 * F + T - S + t];
+      accs += wi * sv;
+    }
+  }
+  for (int b = 0; b < F; ++b)
+    *reinterpret_cast<Vec8Ref*>(out + 8 * b) = acc[b];
+  if constexpr (T >= 4) *reinterpret_cast<Vec4Ref*>(tail) = acc4;
+  for (int t = 0; t < S; ++t) tail[T - S + t] = accs[t];
+}
+
+using MixFn = void (*)(const float*, const float*, int, int, float*);
+
+// Widest block: 4 full accumulators plus any tail (up to 39 channels).
+constexpr int kMixBlocks = 4;
+
+template <std::size_t... I>
+constexpr std::array<MixFn, sizeof...(I)> mix_table(std::index_sequence<I...>) {
+  return {&mix_block<static_cast<int>(I / 8), static_cast<int>(I % 8)>...};
+}
+constexpr auto kMix =
+    mix_table(std::make_index_sequence<(kMixBlocks + 1) * 8>());
+
 }  // namespace
 
 std::size_t parallel_threshold() { return g_parallel_threshold; }
@@ -142,19 +328,19 @@ void matmul(const float* a, const float* b, float* c, int m, int k, int n) {
     if (pool.size() > 1) {
       if (m > 1) {
         pool.parallel_for(0, m, [&](std::int64_t i0, std::int64_t i1) {
-          matmul_rows(a, b, c, static_cast<int>(i0), static_cast<int>(i1), k,
-                      n);
+          matmul_block(a, b, c, static_cast<int>(i0), static_cast<int>(i1),
+                       0, n, k, n);
         });
       } else {
         pool.parallel_for(0, n, [&](std::int64_t j0, std::int64_t j1) {
-          matmul_cols(a, b, c, m, k, static_cast<int>(j0),
-                      static_cast<int>(j1), n);
+          matmul_block(a, b, c, 0, m, static_cast<int>(j0),
+                       static_cast<int>(j1), k, n);
         });
       }
       return;
     }
   }
-  matmul_rows(a, b, c, 0, m, k, n);
+  matmul_block(a, b, c, 0, m, 0, n, k, n);
 }
 
 void matmul_bt(const float* a, const float* b, float* c, int m, int k, int n) {
@@ -222,6 +408,32 @@ void matmul_backward(const float* a, const float* b, const float* dc,
     }
     if (!done) matmul_db_rows(a, dc, db, 0, k, m, k, n);
   }
+}
+
+void attention_scores(const float* q, const float* k, int stride, int rows,
+                      int hd, float scale, float* scores) {
+  for (int i = 0; i < rows; i += 8) {
+    // A short last group repeats its final row; the extra lanes are
+    // dropped.
+    const float* group[8];
+    for (int u = 0; u < 8; ++u)
+      group[u] = k + static_cast<std::size_t>(std::min(i + u, rows - 1)) *
+                         stride;
+    const Vec8 dots = dot_rows8(q, group, hd) * scale;
+    for (int u = 0; u < 8 && i + u < rows; ++u) scores[i + u] = dots[u];
+  }
+}
+
+void attention_mix(const float* w, const float* v, int stride, int rows,
+                   int hd, float* out) {
+  // Channel blocks of up to 8 * kMixBlocks channels; the last block also
+  // takes the tail (< 8 channels).
+  int c = 0;
+  while (hd - c >= 8 * kMixBlocks + 8) {
+    kMix[kMixBlocks * 8](w, v + c, stride, rows, out + c);
+    c += 8 * kMixBlocks;
+  }
+  kMix[static_cast<std::size_t>(hd - c)](w, v + c, stride, rows, out + c);
 }
 
 void add_bias(const float* x, const float* bias, float* y, int m, int n) {
@@ -341,18 +553,41 @@ void softmax_backward(const float* y, const float* dy, float* dx, int m,
   }
 }
 
-void rotary(float* x, int t, int dim, int rot_dim, int pos0) {
-  const int half = rot_dim / 2;
-  for (int i = 0; i < t; ++i) {
-    float* row = x + static_cast<std::size_t>(i) * dim;
-    const float pos = static_cast<float>(pos0 + i);
-    for (int j = 0; j < half; ++j) {
+RotaryTable rotary_table(int positions, int rot_dim) {
+  RotaryTable table;
+  table.positions = positions;
+  table.half = rot_dim / 2;
+  const std::size_t entries = static_cast<std::size_t>(positions) *
+                              static_cast<std::size_t>(table.half);
+  table.cos.resize(entries);
+  table.sin.resize(entries);
+  for (int i = 0; i < positions; ++i) {
+    const float pos = static_cast<float>(i);
+    float* c = table.cos.data() + static_cast<std::size_t>(i) * table.half;
+    float* s = table.sin.data() + static_cast<std::size_t>(i) * table.half;
+    for (int j = 0; j < table.half; ++j) {
       // GPT-NeoX / CodeGen style: channel pairs (j, j + half).
       float theta =
           pos * std::pow(10000.0f, -2.0f * static_cast<float>(j) /
                                         static_cast<float>(rot_dim));
-      float c = std::cos(theta);
-      float s = std::sin(theta);
+      c[j] = std::cos(theta);
+      s[j] = std::sin(theta);
+    }
+  }
+  return table;
+}
+
+void rotary(float* x, int t, int dim, const RotaryTable& table, int pos0) {
+  assert(pos0 + t <= table.positions);
+  const int half = table.half;
+  for (int i = 0; i < t; ++i) {
+    float* row = x + static_cast<std::size_t>(i) * dim;
+    const std::size_t at = static_cast<std::size_t>(pos0 + i) * half;
+    const float* cs = table.cos.data() + at;
+    const float* sn = table.sin.data() + at;
+    for (int j = 0; j < half; ++j) {
+      float c = cs[j];
+      float s = sn[j];
       float a = row[j];
       float b = row[j + half];
       row[j] = a * c - b * s;
@@ -361,19 +596,20 @@ void rotary(float* x, int t, int dim, int rot_dim, int pos0) {
   }
 }
 
-void rotary_backward(float* dx, int t, int dim, int rot_dim, int pos0) {
+void rotary_backward(float* dx, int t, int dim, const RotaryTable& table,
+                     int pos0) {
   // The rotation is orthogonal; the gradient transforms by the inverse
   // (negative-angle) rotation.
-  const int half = rot_dim / 2;
+  assert(pos0 + t <= table.positions);
+  const int half = table.half;
   for (int i = 0; i < t; ++i) {
     float* row = dx + static_cast<std::size_t>(i) * dim;
-    const float pos = static_cast<float>(pos0 + i);
+    const std::size_t at = static_cast<std::size_t>(pos0 + i) * half;
+    const float* cs = table.cos.data() + at;
+    const float* sn = table.sin.data() + at;
     for (int j = 0; j < half; ++j) {
-      float theta =
-          pos * std::pow(10000.0f, -2.0f * static_cast<float>(j) /
-                                        static_cast<float>(rot_dim));
-      float c = std::cos(theta);
-      float s = std::sin(theta);
+      float c = cs[j];
+      float s = sn[j];
       float a = row[j];
       float b = row[j + half];
       row[j] = a * c + b * s;

@@ -52,16 +52,45 @@ void layernorm_backward(const float* x, const float* gain, const float* mean,
                         const float* rstd, const float* dy, float* dx,
                         float* dgain, float* dbias, int m, int n);
 
+// Single-query attention kernels for one head: `hd` channels of a query
+// against `rows` cached rows k_i = k + i * stride (v_i likewise).
+//
+// scores[i] = scale * (q . k_i). Every dot sums its channels in one fixed
+// order: 16-channel blocks accumulate lane-wise, fold to 8 lanes, an
+// 8-channel block adds lane-wise, the 8 lanes reduce pairwise (lane l with
+// l + 4, then l + 2, then l + 1), and the channels left over add one by
+// one. Rows go 8 at a time, so eight independent chains are in flight.
+void attention_scores(const float* q, const float* k, int stride, int rows,
+                      int hd, float scale, float* scores);
+// out[c] += w[i] * v_i[c] for i = 0, 1, ..., rows - 1 in order. The
+// accumulators stay in registers across the rows.
+void attention_mix(const float* w, const float* v, int stride, int rows,
+                   int hd, float* out);
+
 // Row-wise softmax; backward uses the forward output.
 void softmax(const float* x, float* y, int m, int n);
 void softmax_backward(const float* y, const float* dy, float* dx, int m,
                       int n);
 
-// Rotary position embedding over the first `rot_dim` channels of each
-// head-sized row (rot_dim even). x is [t x dim] for one head; position of
-// row i is pos0 + i. In-place rotation; backward is the inverse rotation.
-void rotary(float* x, int t, int dim, int rot_dim, int pos0);
-void rotary_backward(float* dx, int t, int dim, int rot_dim, int pos0);
+// Rotary position embedding angles: for every position below `positions`
+// and channel pair j < rot_dim / 2, the cosine and sine of
+// pos * 10000^(-2j / rot_dim). Built once per context window, so a decode
+// step reads its rotation instead of computing pow/sin/cos per channel.
+struct RotaryTable {
+  int positions = 0;
+  int half = 0;          // rot_dim / 2: channel pairs (j, j + half)
+  std::vector<float> cos;  // [positions x half]
+  std::vector<float> sin;  // [positions x half]
+};
+RotaryTable rotary_table(int positions, int rot_dim);
+
+// Rotary position embedding over the first 2 * table.half channels of each
+// head-sized row. x is [t x dim] for one head; position of row i is
+// pos0 + i, and pos0 + t must not exceed table.positions. In-place
+// rotation; backward is the inverse rotation.
+void rotary(float* x, int t, int dim, const RotaryTable& table, int pos0);
+void rotary_backward(float* dx, int t, int dim, const RotaryTable& table,
+                     int pos0);
 
 // Fused softmax + cross-entropy over logits [rows x vocab] against integer
 // targets; targets equal to `ignore_index` contribute neither loss nor

@@ -693,7 +693,14 @@ class InferenceService::StreamEmitter {
   // GenerateOptions::on_token target: runs on the decoding thread, once
   // per committed token, in order.
   void on_token(std::int32_t token) {
+    const bool first = ids_.empty();
     ids_.push_back(token);
+    // trim_generation drops everything after the last '\n', so a token
+    // without one leaves the stable text exactly as the previous call
+    // computed (and emitted) it. The first call has no previous one.
+    if (!first &&
+        tokenizer_.token_bytes(token).find('\n') == std::string_view::npos)
+      return;
     std::string body = core::trim_generation(tokenizer_.decode(ids_));
     body = core::truncate_to_first_task(body, indent_);
     std::string stable = name_line_ + body;

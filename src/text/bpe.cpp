@@ -169,12 +169,14 @@ std::vector<TokenId> BpeTokenizer::encode(std::string_view text) const {
 
 std::string BpeTokenizer::decode(std::span<const TokenId> ids) const {
   std::string out;
-  for (TokenId id : ids) {
-    if (id < kSpecialCount || static_cast<std::size_t>(id) >= vocab_.size())
-      continue;
-    out += vocab_[static_cast<std::size_t>(id)];
-  }
+  for (TokenId id : ids) out += token_bytes(id);
   return out;
+}
+
+std::string_view BpeTokenizer::token_bytes(TokenId id) const {
+  if (id < kSpecialCount || static_cast<std::size_t>(id) >= vocab_.size())
+    return {};
+  return vocab_[static_cast<std::size_t>(id)];
 }
 
 std::string BpeTokenizer::token_text(TokenId id) const {

@@ -43,6 +43,9 @@ class BpeTokenizer {
   std::size_t merge_count() const { return merges_.size(); }
   // Byte string for a token id (specials render as "<|pad|>"/"<|eot|>").
   std::string token_text(TokenId id) const;
+  // The bytes decode() emits for a token id: empty for specials and
+  // unknown ids. A view into the vocabulary, valid while the tokenizer is.
+  std::string_view token_bytes(TokenId id) const;
 
   // Serialization for checkpointing alongside model weights.
   std::string serialize() const;

@@ -244,7 +244,7 @@ TEST(Ops, RotaryPreservesNorm) {
   const int t = 4, dim = 8;
   nn::Vec x = random_vec(rng, t * dim);
   nn::Vec rotated = x;
-  nn::rotary(rotated.data(), t, dim, dim, 0);
+  nn::rotary(rotated.data(), t, dim, nn::rotary_table(t, dim), 0);
   for (int i = 0; i < t; ++i) {
     double n0 = 0, n1 = 0;
     for (int j = 0; j < dim; ++j) {
@@ -259,7 +259,7 @@ TEST(Ops, RotaryPositionZeroIsIdentity) {
   Rng rng(9);
   nn::Vec x = random_vec(rng, 8);
   nn::Vec r = x;
-  nn::rotary(r.data(), 1, 8, 8, 0);
+  nn::rotary(r.data(), 1, 8, nn::rotary_table(1, 8), 0);
   for (int i = 0; i < 8; ++i) EXPECT_NEAR(r[i], x[i], 1e-6);
 }
 
@@ -268,16 +268,18 @@ TEST(Ops, RotaryBackwardIsInverse) {
   const int t = 3, dim = 8;
   nn::Vec x = random_vec(rng, t * dim);
   nn::Vec y = x;
-  nn::rotary(y.data(), t, dim, dim, 5);
-  nn::rotary_backward(y.data(), t, dim, dim, 5);
+  const nn::RotaryTable table = nn::rotary_table(5 + t, dim);
+  nn::rotary(y.data(), t, dim, table, 5);
+  nn::rotary_backward(y.data(), t, dim, table, 5);
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(y[i], x[i], 1e-5);
 }
 
 TEST(Ops, RotaryDependsOnAbsolutePosition) {
   nn::Vec x = {1, 0, 0, 0};
   nn::Vec a = x, b = x;
-  nn::rotary(a.data(), 1, 4, 4, 1);
-  nn::rotary(b.data(), 1, 4, 4, 2);
+  const nn::RotaryTable table = nn::rotary_table(3, 4);
+  nn::rotary(a.data(), 1, 4, table, 1);
+  nn::rotary(b.data(), 1, 4, table, 2);
   bool differs = false;
   for (int i = 0; i < 4; ++i) differs |= std::abs(a[i] - b[i]) > 1e-6;
   EXPECT_TRUE(differs);
@@ -287,7 +289,7 @@ TEST(Ops, RotaryPartialDimLeavesTailUntouched) {
   Rng rng(11);
   nn::Vec x = random_vec(rng, 8);
   nn::Vec r = x;
-  nn::rotary(r.data(), 1, 8, 4, 3);
+  nn::rotary(r.data(), 1, 8, nn::rotary_table(4, 4), 3);
   for (int i = 4; i < 8; ++i) EXPECT_FLOAT_EQ(r[i], x[i]);
 }
 

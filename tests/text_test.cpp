@@ -103,6 +103,20 @@ TEST(Bpe, SpecialTokensDecodeToNothing) {
   EXPECT_EQ(tok.token_text(wt::BpeTokenizer::kPad), "<|pad|>");
 }
 
+// decode() is the concatenation of token_bytes(), which is what lets the
+// streaming emitter look at one token's bytes instead of the whole body.
+TEST(Bpe, DecodeConcatenatesTokenBytes) {
+  auto tok = wt::BpeTokenizer::train(kYamlCorpus, 280);
+  std::vector<wt::TokenId> ids = tok.encode(kYamlCorpus);
+  ids.insert(ids.begin() + 3, wt::BpeTokenizer::kEndOfText);
+  ids.push_back(wt::BpeTokenizer::kPad);
+  ids.push_back(100000);  // unknown id
+  std::string joined;
+  for (wt::TokenId id : ids) joined += tok.token_bytes(id);
+  EXPECT_EQ(joined, tok.decode(ids));
+  EXPECT_EQ(tok.token_bytes(wt::BpeTokenizer::kEndOfText), "");
+}
+
 TEST(Bpe, SerializationRoundTrip) {
   auto tok = wt::BpeTokenizer::train(kYamlCorpus, 350);
   auto restored = wt::BpeTokenizer::deserialize(tok.serialize());
