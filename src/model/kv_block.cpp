@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "nn/ops.hpp"
+
 namespace wisdom::model {
 
 KvBlockAllocator::KvBlockAllocator(int capacity_blocks, int block_size,
@@ -13,8 +15,12 @@ KvBlockAllocator::KvBlockAllocator(int capacity_blocks, int block_size,
       block_size_(block_size),
       n_layers_(n_layers),
       d_(d_model),
-      layer_stride_(2 * static_cast<std::size_t>(block_size) * d_model),
-      value_offset_(static_cast<std::size_t>(block_size) * d_model),
+      tiles_(nn::key_tiles(block_size)),
+      tile_floats_(static_cast<std::size_t>(nn::kKeyTile) * d_model),
+      layer_stride_((static_cast<std::size_t>(tiles_) * nn::kKeyTile +
+                     static_cast<std::size_t>(block_size)) *
+                    d_model),
+      value_offset_(static_cast<std::size_t>(tiles_) * tile_floats_),
       block_stride_(static_cast<std::size_t>(n_layers) * layer_stride_) {
   assert(capacity_ > 0 && block_size_ > 0 && n_layers_ > 0 && d_ > 0);
   storage_.assign(static_cast<std::size_t>(capacity_) * block_stride_, 0.0f);

@@ -2,6 +2,10 @@
 //
 // A block holds `block_size` token rows of rotated keys and values for
 // every layer at once (vLLM-style paged attention, scaled to this repo).
+// Keys are stored as key tiles (nn::kKeyTile rows, channel-major; see
+// nn/ops.hpp), the same layout as the monolithic cache, so a block's keys
+// take whole tiles: a block size that is not a multiple of the tile pads
+// its last tile.
 // Decodes hold per-sequence block tables instead of one monolithic
 // [ctx x d_model] buffer per layer, which is what makes continuous
 // batching affordable: admitting a sequence costs ceil(len / block_size)
@@ -42,8 +46,9 @@ struct KvBlockStats {
 
 class KvBlockAllocator {
  public:
-  // capacity_blocks uniform blocks of block_size token rows, each row
-  // d_model floats of keys plus d_model floats of values per layer.
+  // capacity_blocks uniform blocks of block_size token rows: per layer,
+  // key_tiles(block_size) key tiles plus block_size rows of d_model value
+  // floats.
   KvBlockAllocator(int capacity_blocks, int block_size, int n_layers,
                    int d_model);
 
@@ -56,7 +61,8 @@ class KvBlockAllocator {
   int blocks_for_tokens(int tokens) const {
     return tokens <= 0 ? 0 : (tokens + block_size_ - 1) / block_size_;
   }
-  // Payload bytes of one block (all layers, keys + values).
+  // Payload bytes of one block (all layers, keys + values), the padding
+  // of a partly used last key tile included.
   std::size_t block_bytes() const {
     return block_stride_ * sizeof(float);
   }
@@ -80,26 +86,31 @@ class KvBlockAllocator {
   int free_blocks() const;
   KvBlockStats stats() const;
 
-  // Row accessors. Lock-free: storage never moves after construction,
-  // and a block's payload is only written by its exclusive owner.
-  float* key_row(std::int32_t block, int layer, int row) {
-    return storage_.data() + offset(block, layer, row);
+  // Payload accessors. Lock-free: storage never moves after
+  // construction, and a block's payload is only written by its exclusive
+  // owner. Block row r's key is lane r % kKeyTile of key tile
+  // r / kKeyTile; its value is a d_model-float row.
+  float* key_tile(std::int32_t block, int layer, int tile) {
+    return storage_.data() + layer_offset(block, layer) +
+           static_cast<std::size_t>(tile) * tile_floats_;
   }
-  const float* key_row(std::int32_t block, int layer, int row) const {
-    return storage_.data() + offset(block, layer, row);
+  const float* key_tile(std::int32_t block, int layer, int tile) const {
+    return storage_.data() + layer_offset(block, layer) +
+           static_cast<std::size_t>(tile) * tile_floats_;
   }
   float* value_row(std::int32_t block, int layer, int row) {
-    return storage_.data() + offset(block, layer, row) + value_offset_;
+    return storage_.data() + layer_offset(block, layer) + value_offset_ +
+           static_cast<std::size_t>(row) * d_;
   }
   const float* value_row(std::int32_t block, int layer, int row) const {
-    return storage_.data() + offset(block, layer, row) + value_offset_;
+    return storage_.data() + layer_offset(block, layer) + value_offset_ +
+           static_cast<std::size_t>(row) * d_;
   }
 
  private:
-  std::size_t offset(std::int32_t block, int layer, int row) const {
+  std::size_t layer_offset(std::int32_t block, int layer) const {
     return static_cast<std::size_t>(block) * block_stride_ +
-           static_cast<std::size_t>(layer) * layer_stride_ +
-           static_cast<std::size_t>(row) * d_;
+           static_cast<std::size_t>(layer) * layer_stride_;
   }
   void check_live(std::int32_t id, const char* op) const;  // mu_ held
 
@@ -107,8 +118,10 @@ class KvBlockAllocator {
   const int block_size_;
   const int n_layers_;
   const int d_;
-  // Block layout: [layer 0 keys | layer 0 values | layer 1 keys | ...],
-  // each keys/values section block_size x d_model row-major.
+  const int tiles_;                  // key tiles per block and layer
+  // Block layout: [layer 0 keys | layer 0 values | layer 1 keys | ...]:
+  // keys as tiles_ key tiles, values block_size x d_model row-major.
+  const std::size_t tile_floats_;    // floats per key tile
   const std::size_t layer_stride_;   // floats per layer section pair
   const std::size_t value_offset_;   // keys -> values skip within a layer
   const std::size_t block_stride_;   // floats per block

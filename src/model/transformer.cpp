@@ -67,14 +67,14 @@ void accumulate_dk(const float* dscores, const float* q, float* dk, int t,
   }
 }
 
-// Runs body(s0, s1) over the flattened (batch, head) index space, on the
-// global pool when the per-call attention work clears the nn parallel
-// threshold. Each (b, head) slot touches disjoint slices of the activation
-// buffers, and every slot is computed exactly as in the sequential loop, so
-// results are bit-identical at any thread count.
+// Runs body(s0, s1) over `slots` attention slots — (batch, head) pairs in
+// training, query rows (all heads at once) in decoding — on the global pool
+// when the per-call attention work clears the nn parallel threshold. Each
+// slot touches disjoint slices of the activation buffers, and every slot is
+// computed exactly as in the sequential loop, so results are bit-identical
+// at any thread count.
 template <typename Body>
-void for_each_head(int batch, int h, std::size_t madds, const Body& body) {
-  const int slots = batch * h;
+void for_each_slot(int slots, std::size_t madds, const Body& body) {
   if (slots > 1 && madds >= nn::parallel_threshold() &&
       !util::ThreadPool::in_worker()) {
     util::ThreadPool& pool = util::ThreadPool::global();
@@ -245,7 +245,7 @@ float Transformer::run(std::span<const std::int32_t> x,
         static_cast<std::size_t>(batch) * h * t * t, 0.0f);
     A.att_mix.assign(rd, 0.0f);
 
-    for_each_head(batch, h, att_madds, [&](int s0, int s1) {
+    for_each_slot(batch * h, att_madds, [&](int s0, int s1) {
       Vec qh(static_cast<std::size_t>(t) * hd), kh(qh.size()),
           vh(qh.size()), oh(qh.size());
       Vec scores(static_cast<std::size_t>(t) * t);
@@ -378,7 +378,7 @@ float Transformer::run(std::span<const std::int32_t> x,
     nn::add_bias_backward(dmid.data(), L.bo.g.data(), rows, d);
 
     Vec dqkv(static_cast<std::size_t>(rows) * 3 * d, 0.0f);
-    for_each_head(batch, h, att_madds, [&](int s0, int s1) {
+    for_each_slot(batch * h, att_madds, [&](int s0, int s1) {
       Vec qh(static_cast<std::size_t>(t) * hd), kh(qh.size()), vh(qh.size());
       Vec dqh(qh.size()), dkh(qh.size()), dvh(qh.size()), doh(qh.size());
       Vec dprobs(static_cast<std::size_t>(t) * t), dscores(dprobs.size());
@@ -532,11 +532,15 @@ Transformer::KvCache Transformer::KvCache::clone(int new_length) const {
   } else {
     const std::size_t rows = static_cast<std::size_t>(out.length) *
                              static_cast<std::size_t>(row_width);
+    const std::size_t tiles = static_cast<std::size_t>(nn::key_tiles(
+                                  out.length)) *
+                              nn::kKeyTile * row_width;
     out.keys.reserve(keys.size());
     out.values.reserve(values.size());
     for (const Vec& k : keys)
-      out.keys.emplace_back(k.begin(),
-                            k.begin() + static_cast<std::ptrdiff_t>(rows));
+      out.keys.emplace_back(
+          k.begin(),
+          k.begin() + static_cast<std::ptrdiff_t>(std::min(tiles, k.size())));
     for (const Vec& v : values)
       out.values.emplace_back(v.begin(),
                               v.begin() + static_cast<std::ptrdiff_t>(rows));
@@ -579,17 +583,29 @@ void Transformer::KvCache::materialize() {
   const int bs = arena->block_size();
   const std::size_t per_layer =
       static_cast<std::size_t>(capacity) * static_cast<std::size_t>(d);
-  keys.assign(static_cast<std::size_t>(layers), Vec(per_layer, 0.0f));
+  const std::size_t key_floats =
+      static_cast<std::size_t>(nn::key_tiles(capacity)) * nn::kKeyTile * d;
+  keys.assign(static_cast<std::size_t>(layers), Vec(key_floats, 0.0f));
   values.assign(static_cast<std::size_t>(layers), Vec(per_layer, 0.0f));
   for (int li = 0; li < layers; ++li) {
     for (std::size_t b = 0; b < block_table.size(); ++b) {
       const int row0 = static_cast<int>(b) * bs;
       const int rows = std::min(bs, length - row0);
       if (rows <= 0) break;
-      std::memcpy(keys[static_cast<std::size_t>(li)].data() +
-                      static_cast<std::size_t>(row0) * d,
-                  arena->key_row(block_table[b], li, 0),
-                  static_cast<std::size_t>(rows) * d * sizeof(float));
+      // Block row r moves to lane (row0 + r) % kKeyTile of monolithic
+      // tile (row0 + r) / kKeyTile.
+      for (int r = 0; r < rows; ++r) {
+        const float* from = arena->key_tile(block_table[b], li,
+                                            r / nn::kKeyTile) +
+                            r % nn::kKeyTile;
+        const int p = row0 + r;
+        float* to = keys[static_cast<std::size_t>(li)].data() +
+                    static_cast<std::size_t>(p / nn::kKeyTile) *
+                        nn::kKeyTile * d +
+                    p % nn::kKeyTile;
+        for (int c = 0; c < d; ++c)
+          to[c * nn::kKeyTile] = from[c * nn::kKeyTile];
+      }
       std::memcpy(values[static_cast<std::size_t>(li)].data() +
                       static_cast<std::size_t>(row0) * d,
                   arena->value_row(block_table[b], li, 0),
@@ -604,7 +620,10 @@ Transformer::KvCache Transformer::make_cache() const {
   KvCache cache;
   const std::size_t per_layer =
       static_cast<std::size_t>(config_.ctx) * config_.d_model;
-  cache.keys.assign(layers_.size(), Vec(per_layer, 0.0f));
+  const std::size_t key_floats =
+      static_cast<std::size_t>(nn::key_tiles(config_.ctx)) * nn::kKeyTile *
+      config_.d_model;
+  cache.keys.assign(layers_.size(), Vec(key_floats, 0.0f));
   cache.values.assign(layers_.size(), Vec(per_layer, 0.0f));
   cache.row_width = config_.d_model;
   cache.capacity = config_.ctx;
@@ -625,34 +644,49 @@ Transformer::KvCache Transformer::make_paged_cache(
 
 namespace {
 
-// One contiguous run of KV rows: `rows` rows of keys at `k` and values at
-// `v`, row stride = d_model. A monolithic cache is a single run; a paged
-// cache contributes one run per block (the last possibly partial). The
-// attention loops walk runs in logical row order, so the per-row
-// arithmetic — and therefore every accumulated float — is identical in
-// both layouts.
-struct KvRun {
-  const float* k;
+// One contiguous run of value rows: `rows` rows at `v`, row stride =
+// d_model.
+struct ValueRun {
   const float* v;
   int rows;
 };
 
-// Appends the runs covering rows [0, count) of layer `li`.
+// The KV rows [0, count) of one layer of one cache, in logical row order:
+// one key tile per run of up to kKeyTile rows, and the value rows in as
+// few contiguous runs as the layout has. A monolithic cache is whole tiles
+// and one value run; a paged cache contributes its blocks' tiles (a block
+// smaller than a tile gives a short one) and one value run per block. The
+// attention loops walk both in logical row order, so the per-row
+// arithmetic — and therefore every accumulated float — is identical in
+// every layout.
+struct KvRuns {
+  std::vector<nn::KeyTile> tiles;
+  std::vector<ValueRun> values;
+};
+
 void collect_runs(const Transformer::KvCache& cache, int li, int count,
-                  std::vector<KvRun>& runs) {
-  runs.clear();
+                  KvRuns& runs) {
+  runs.tiles.clear();
+  runs.values.clear();
   if (!cache.paged()) {
-    runs.push_back({cache.keys[static_cast<std::size_t>(li)].data(),
-                    cache.values[static_cast<std::size_t>(li)].data(),
-                    count});
+    const std::size_t tile_floats =
+        static_cast<std::size_t>(nn::kKeyTile) * cache.row_width;
+    const float* keys = cache.keys[static_cast<std::size_t>(li)].data();
+    for (int t = 0; t * nn::kKeyTile < count; ++t)
+      runs.tiles.push_back({keys + static_cast<std::size_t>(t) * tile_floats,
+                            std::min(nn::kKeyTile, count - t * nn::kKeyTile)});
+    runs.values.push_back(
+        {cache.values[static_cast<std::size_t>(li)].data(), count});
     return;
   }
   const int bs = cache.arena->block_size();
   for (std::size_t b = 0; b * bs < static_cast<std::size_t>(count); ++b) {
+    const std::int32_t id = cache.block_table[b];
     const int rows = std::min(bs, count - static_cast<int>(b) * bs);
-    runs.push_back({cache.arena->key_row(cache.block_table[b], li, 0),
-                    cache.arena->value_row(cache.block_table[b], li, 0),
-                    rows});
+    for (int t = 0; t * nn::kKeyTile < rows; ++t)
+      runs.tiles.push_back({cache.arena->key_tile(id, li, t),
+                            std::min(nn::kKeyTile, rows - t * nn::kKeyTile)});
+    runs.values.push_back({cache.arena->value_row(id, li, 0), rows});
   }
 }
 
@@ -664,9 +698,12 @@ void prepare_append(Transformer::KvCache& cache, int pos, int ctx) {
   if (!cache.paged()) {
     const std::size_t full_rows = static_cast<std::size_t>(ctx) *
                                   static_cast<std::size_t>(cache.row_width);
+    const std::size_t full_tiles = static_cast<std::size_t>(nn::key_tiles(
+                                       ctx)) *
+                                   nn::kKeyTile * cache.row_width;
     for (std::size_t li = 0; li < cache.keys.size(); ++li) {
-      if (cache.keys[li].size() < full_rows)
-        cache.keys[li].resize(full_rows, 0.0f);
+      if (cache.keys[li].size() < full_tiles)
+        cache.keys[li].resize(full_tiles, 0.0f);
       if (cache.values[li].size() < full_rows)
         cache.values[li].resize(full_rows, 0.0f);
     }
@@ -697,13 +734,26 @@ void prepare_append(Transformer::KvCache& cache, int pos, int ctx) {
   }
 }
 
-float* key_append_row(Transformer::KvCache& cache, int li, int pos) {
-  if (!cache.paged())
-    return cache.keys[static_cast<std::size_t>(li)].data() +
-           static_cast<std::size_t>(pos) * cache.row_width;
-  const int bs = cache.arena->block_size();
-  return cache.arena->key_row(
-      cache.block_table[static_cast<std::size_t>(pos / bs)], li, pos % bs);
+// Scatters the rotated key `k` into lane pos % kKeyTile of the key tile
+// holding position `pos`: one float per channel, kKeyTile floats apart.
+void append_key(Transformer::KvCache& cache, int li, int pos, const float* k) {
+  float* tile;
+  int lane;
+  if (!cache.paged()) {
+    tile = cache.keys[static_cast<std::size_t>(li)].data() +
+           static_cast<std::size_t>(pos / nn::kKeyTile) * nn::kKeyTile *
+               cache.row_width;
+    lane = pos % nn::kKeyTile;
+  } else {
+    const int bs = cache.arena->block_size();
+    const int row = pos % bs;
+    tile = cache.arena->key_tile(
+        cache.block_table[static_cast<std::size_t>(pos / bs)], li,
+        row / nn::kKeyTile);
+    lane = row % nn::kKeyTile;
+  }
+  for (int c = 0; c < cache.row_width; ++c)
+    tile[c * nn::kKeyTile + lane] = k[c];
 }
 
 float* value_append_row(Transformer::KvCache& cache, int li, int pos) {
@@ -745,7 +795,7 @@ struct StepScratch {
   std::vector<int> row_seq, row_pos;
   std::vector<std::int32_t> row_token;
   Vec x, a1, qkv, mix, tmp, a2, fc, mean, rstd, logits_all;
-  std::vector<std::vector<KvRun>> runs;
+  std::vector<KvRuns> runs;
 };
 
 StepScratch& step_scratch() {
@@ -783,8 +833,9 @@ void add_feed(StepScratch& scratch, Transformer::KvCache& cache,
   }
 }
 
-// One attention row: scores against `count` cached rows, walked in logical
-// row order. Lives per thread because attention shards run on pool lanes.
+// One query row's attention probabilities, head after head, each head's
+// `count` scores in logical row order. Lives per thread because attention
+// shards run on pool lanes.
 Vec& attention_row(std::size_t size) {
   thread_local Vec att;
   if (att.size() < size) att.resize(size);
@@ -851,7 +902,7 @@ void Transformer::forward_rows(std::vector<float>* row_logits) const {
   mean.resize(static_cast<std::size_t>(n));
   rstd.resize(static_cast<std::size_t>(n));
 
-  // Attention work this step: q·K^T plus probs·V per (row, head).
+  // Attention work this step: q·K^T plus probs·V per row, all heads.
   std::size_t att_madds = 0;
   for (int r = 0; r < n; ++r)
     att_madds +=
@@ -859,7 +910,7 @@ void Transformer::forward_rows(std::vector<float>* row_logits) const {
         static_cast<std::size_t>(row_pos[static_cast<std::size_t>(r)] + 1) *
         static_cast<std::size_t>(hd);
 
-  std::vector<std::vector<KvRun>>& runs = scratch.runs;
+  std::vector<KvRuns>& runs = scratch.runs;
   if (runs.size() < scratch.seqs.size()) runs.resize(scratch.seqs.size());
 
   for (std::size_t li = 0; li < layers_.size(); ++li) {
@@ -885,8 +936,7 @@ void Transformer::forward_rows(std::vector<float>* row_logits) const {
         nn::rotary(row + d + head * hd, 1, hd, rotary_, p);
       }
       // Append rotated k and v.
-      std::memcpy(key_append_row(cache, static_cast<int>(li), p), row + d,
-                  d * sizeof(float));
+      append_key(cache, static_cast<int>(li), p, row + d);
       std::memcpy(value_append_row(cache, static_cast<int>(li), p),
                   row + 2 * d, d * sizeof(float));
     }
@@ -897,32 +947,26 @@ void Transformer::forward_rows(std::vector<float>* row_logits) const {
       collect_runs(*scratch.seqs[s].cache, static_cast<int>(li),
                    scratch.seqs[s].count, runs[s]);
 
-    for_each_head(n, h, att_madds, [&](int s0, int s1) {
-      Vec& att = attention_row(static_cast<std::size_t>(config_.ctx));
-      for (int slot = s0; slot < s1; ++slot) {
-        const int r = slot / h;
-        const int head = slot % h;
-        const std::size_t s =
-            static_cast<std::size_t>(row_seq[static_cast<std::size_t>(r)]);
-        const float* q =
-            qkv.data() + static_cast<std::size_t>(r) * 3 * d + head * hd;
+    for_each_slot(n, att_madds, [&](int r0, int r1) {
+      Vec& att = attention_row(static_cast<std::size_t>(h) * config_.ctx);
+      for (int r = r0; r < r1; ++r) {
+        const KvRuns& kv = runs[static_cast<std::size_t>(
+            row_seq[static_cast<std::size_t>(r)])];
+        const float* q = qkv.data() + static_cast<std::size_t>(r) * 3 * d;
         const int count = row_pos[static_cast<std::size_t>(r)] + 1;
+        // Head `head`'s probabilities are att[head * count, +count).
+        for (int head = 0; head < h; ++head)
+          nn::attention_scores(q + head * hd, kv.tiles, head * hd, hd,
+                               att_scale, count,
+                               att.data() + static_cast<std::size_t>(head) *
+                                                count);
+        nn::softmax(att.data(), att.data(), h, count);
+        float* out = mix.data() + static_cast<std::size_t>(r) * d;
+        std::fill(out, out + d, 0.0f);
         int j = 0;
-        for (const KvRun& run : runs[s]) {
+        for (const ValueRun& run : kv.values) {
           const int rows = std::min(run.rows, count - j);
-          nn::attention_scores(q, run.k + head * hd, d, rows, hd, att_scale,
-                               att.data() + j);
-          j += rows;
-          if (j >= count) break;
-        }
-        nn::softmax(att.data(), att.data(), 1, count);
-        float* out = mix.data() + static_cast<std::size_t>(r) * d + head * hd;
-        std::fill(out, out + hd, 0.0f);
-        j = 0;
-        for (const KvRun& run : runs[s]) {
-          const int rows = std::min(run.rows, count - j);
-          nn::attention_mix(att.data() + j, run.v + head * hd, d, rows, hd,
-                            out);
+          nn::attention_mix(att.data() + j, count, h, hd, run.v, d, rows, out);
           j += rows;
           if (j >= count) break;
         }

@@ -61,9 +61,12 @@ class Transformer {
 
   // --- greedy decoding with a KV cache ------------------------------------
   struct KvCache {
-    // Monolithic backing — per layer: rotated keys and values,
-    // [ctx x d_model] each (or fewer rows for a compacted clone;
-    // decode_step grows them back on demand). Empty when paged.
+    // Monolithic backing — per layer: rotated keys as key tiles
+    // (nn::key_tiles(ctx) tiles of nn::kKeyTile rows x d_model,
+    // channel-major; see nn/ops.hpp) and values as [ctx x d_model]
+    // row-major (or fewer rows for a compacted clone: whole key tiles,
+    // exact value rows; decode_step grows them back on demand). Empty
+    // when paged.
     std::vector<nn::Vec> keys;
     std::vector<nn::Vec> values;
     // Next-token logits of the last decode_step. Living in the cache (not
@@ -93,8 +96,9 @@ class Transformer {
 
     bool paged() const { return arena != nullptr; }
     // Copy truncated to the first `new_length` tokens (default: all) — the
-    // form the prefix cache stores. Monolithic: a deep copy with
-    // keys/values compacted to exactly that many rows. Paged: shares the
+    // form the prefix cache stores. Monolithic: a deep copy with keys
+    // compacted to the tiles covering that many rows and values to exactly
+    // that many rows. Paged: shares the
     // covering blocks (refcounted, O(blocks) — no payload copy). The
     // logits survive only a full-length clone (they describe the last
     // decoded position).
@@ -104,8 +108,8 @@ class Transformer {
     // blocks past the kept span. No-op when already shorter.
     void truncate(int new_length);
     // Heap bytes held: keys/values/logits for a monolithic cache, the
-    // arena blocks referenced (full blocks, shared or not) for a paged
-    // one.
+    // arena blocks referenced (full blocks, shared or not, key-tile
+    // padding included) for a paged one.
     std::size_t byte_size() const;
     // Converts a paged cache to an equivalent monolithic one (copying the
     // live rows out of the arena and releasing the blocks). Decoding

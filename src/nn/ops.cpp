@@ -206,112 +206,171 @@ void matmul_db_rows(const float* a, const float* dc, float* db, int p0,
 
 using Vec4 = float __attribute__((vector_size(16)));
 using Vec4Ref = float __attribute__((vector_size(16), aligned(4), may_alias));
+using Vec16 = float __attribute__((vector_size(64)));
+using Vec16Ref = float __attribute__((vector_size(64), aligned(4), may_alias));
+static_assert(kKeyTile == 16, "one key-tile column is one Vec16");
+
+// Under -ffast-math the compiler may reassociate float adds and contract a
+// product into the add that consumes it. `pinned` stops both at one value:
+// it returns its argument through an empty asm statement the compiler
+// cannot see into, so the adds that feed it stay in their written order,
+// and a product that is pinned is rounded on its own rather than fused
+// into the next add. `pinned(acc + a * b)` still lets a * b fuse into that
+// one add, exactly where `acc += a * b` contracts everywhere else in this
+// file. A vector wider than the target's registers is pinned half by half.
+// (GCC 12's __builtin_assoc_barrier would do, but on AVX-512 targets it
+// lowers vectors lane by lane.)
+#if defined(__x86_64__) || defined(__i386__)
+#if defined(__AVX512F__)
+#define WISDOM_PIN(x) asm("" : "+v"(x))
+#else
+#define WISDOM_PIN(x) asm("" : "+x"(x))
+#endif
+#elif defined(__aarch64__)
+#define WISDOM_PIN(x) asm("" : "+w"(x))
+#endif
+
+inline Vec4 pinned(Vec4 x) {
+#ifdef WISDOM_PIN
+  WISDOM_PIN(x);
+  return x;
+#else
+  volatile Vec4 held = x;
+  return held;
+#endif
+}
+
+inline Vec8 pinned(Vec8 x) {
+#if defined(__AVX__)
+  WISDOM_PIN(x);
+  return x;
+#else
+  const Vec4 lo = pinned(__builtin_shufflevector(x, x, 0, 1, 2, 3));
+  const Vec4 hi = pinned(__builtin_shufflevector(x, x, 4, 5, 6, 7));
+  return __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7);
+#endif
+}
+
+inline Vec16 pinned(Vec16 x) {
+#if defined(__AVX512F__)
+  WISDOM_PIN(x);
+  return x;
+#else
+  const Vec8 lo = pinned(__builtin_shufflevector(x, x, 0, 1, 2, 3, 4, 5, 6, 7));
+  const Vec8 hi =
+      pinned(__builtin_shufflevector(x, x, 8, 9, 10, 11, 12, 13, 14, 15));
+  return __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
+                                 12, 13, 14, 15);
+#endif
+}
 
 Vec8 load8(const float* p) { return *reinterpret_cast<const Vec8Ref*>(p); }
 Vec4 load4(const float* p) { return *reinterpret_cast<const Vec4Ref*>(p); }
+Vec16 load16(const float* p) { return *reinterpret_cast<const Vec16Ref*>(p); }
 
-// Lane u of the result is the pairwise sum of y[u]'s lanes:
-// ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)). Every add takes
-// shuffled operands, so no add chain exists for the compiler to
-// reassociate.
-Vec8 reduce_lanes(const Vec8 (&y)[8]) {
-  Vec8 a[4];
-  for (int u = 0; u < 4; ++u)
-    a[u] = __builtin_shufflevector(y[2 * u], y[2 * u + 1], 0, 1, 2, 3, 8, 9,
-                                   10, 11) +
-           __builtin_shufflevector(y[2 * u], y[2 * u + 1], 4, 5, 6, 7, 12,
-                                   13, 14, 15);
-  // b[0] = rows 0, 2, 1, 3 and b[1] = rows 4, 6, 5, 7, two lanes each.
-  Vec8 b[2];
-  for (int u = 0; u < 2; ++u)
-    b[u] = __builtin_shufflevector(a[2 * u], a[2 * u + 1], 0, 1, 8, 9, 4, 5,
-                                   12, 13) +
-           __builtin_shufflevector(a[2 * u], a[2 * u + 1], 2, 3, 10, 11, 6,
-                                   7, 14, 15);
-  // Rows 0, 2, 4, 6, 1, 3, 5, 7.
-  const Vec8 s =
-      __builtin_shufflevector(b[0], b[1], 0, 2, 8, 10, 4, 6, 12, 14) +
-      __builtin_shufflevector(b[0], b[1], 1, 3, 9, 11, 5, 7, 13, 15);
-  return __builtin_shufflevector(s, s, 0, 4, 1, 5, 2, 6, 3, 7);
-}
-
-// Lane u: q . k[u] in the order attention_scores documents.
-inline Vec8 dot_rows8(const float* q, const float* const (&k)[8], int hd) {
+// Lane u: q . (row u of the tile) over the hd channels starting at `k`
+// (the tile's column for the head's first channel), in the order
+// attention_scores documents. Every lane runs the same operations, so each
+// row's dot is exactly what a one-row loop in that order computes.
+[[gnu::always_inline]] inline Vec16 dot_tile(const float* q, const float* k,
+                                             int hd) {
+  auto column = [k](int c) { return load16(k + c * kKeyTile); };
   int c = 0;
-  Vec8 y[8];
+  Vec16 y[8];
   if (hd >= 16) {
-    Vec8 lo[8] = {}, hi[8] = {};
-    for (; c + 16 <= hd; c += 16) {
-      const Vec8 qlo = load8(q + c), qhi = load8(q + c + 8);
-      for (int u = 0; u < 8; ++u) {
-        lo[u] += qlo * load8(k[u] + c);
-        hi[u] += qhi * load8(k[u] + c + 8);
-      }
-    }
-    for (int u = 0; u < 8; ++u) y[u] = hi[u] + lo[u];
+    Vec16 z[16] = {};
+    for (; c + 16 <= hd; c += 16)
+      for (int l = 0; l < 16; ++l)
+        z[l] = pinned(z[l] + q[c + l] * column(c + l));
+    for (int l = 0; l < 8; ++l) y[l] = pinned(z[l + 8] + z[l]);
     if (hd - c >= 8) {
-      const Vec8 qv = load8(q + c);
-      for (int u = 0; u < 8; ++u) y[u] += qv * load8(k[u] + c);
+      for (int l = 0; l < 8; ++l)
+        y[l] = pinned(y[l] + q[c + l] * column(c + l));
       c += 8;
     }
   } else if (hd >= 8) {
-    const Vec8 qv = load8(q);
-    for (int u = 0; u < 8; ++u) y[u] = qv * load8(k[u]);
+    for (int l = 0; l < 8; ++l) y[l] = pinned(q[l] * column(l));
     c = 8;
   }
-  Vec8 acc = {};
-  if (c > 0) acc = reduce_lanes(y);
-  for (; c < hd; ++c)
-    acc += q[c] * Vec8{k[0][c], k[1][c], k[2][c], k[3][c], k[4][c], k[5][c],
-                       k[6][c], k[7][c]};
+  Vec16 acc = {};
+  if (c > 0) {
+    Vec16 a[4];
+    for (int l = 0; l < 4; ++l) a[l] = pinned(y[l] + y[l + 4]);
+    acc = pinned(pinned(a[0] + a[2]) + pinned(a[1] + a[3]));
+  }
+  for (; c < hd; ++c) acc = pinned(acc + q[c] * column(c));
   return acc;
 }
 
-// attention_mix over channels [0, 8 * F + T) of a block: F full 8-lane
-// accumulators plus a T-channel tail, all held in registers. The tail
-// loads 4 lanes when it has them; its last T % 4 channels are loaded one
-// by one into the lanes of a 4-lane accumulator, since reading past the
+// attention_mix over channels [0, 8 * F + T) of H heads, head h's channels
+// and output starting h * hd floats after head 0's: F full 8-lane
+// accumulators per head plus a T-channel tail, all held in registers. The
+// tail loads 4 lanes when it has them; its last T % 4 channels are loaded
+// one by one into the lanes of a 4-lane accumulator, since reading past a
 // head's channels could run off the end of the cache. Every accumulator is
-// a vector, so the row loop is never vectorized into a reassociated
-// reduction.
-template <int F, int T>
-void mix_block(const float* w, const float* v, int stride, int rows,
-               float* out) {
+// a vector and every update is pinned, so each channel sums its rows in
+// order.
+template <int H, int F, int T>
+void mix_heads(const float* w, int wstride, int hd, const float* v,
+               int stride, int rows, float* out) {
   constexpr int S = T % 4;  // tail channels loaded one by one
-  Vec8 acc[F > 0 ? F : 1];
-  for (int b = 0; b < F; ++b) acc[b] = load8(out + 8 * b);
-  float* tail = out + 8 * F;
-  Vec4 acc4 = {}, accs = {};
-  if constexpr (T >= 4) acc4 = load4(tail);
-  for (int t = 0; t < S; ++t) accs[t] = tail[T - S + t];
+  Vec8 acc[H][F > 0 ? F : 1];
+  Vec4 acc4[H] = {}, accs[H] = {};
+  for (int h = 0; h < H; ++h) {
+    const float* o = out + h * hd;
+    for (int b = 0; b < F; ++b) acc[h][b] = load8(o + 8 * b);
+    if constexpr (T >= 4) acc4[h] = load4(o + 8 * F);
+    for (int t = 0; t < S; ++t) accs[h][t] = o[8 * F + T - S + t];
+  }
   for (int i = 0; i < rows; ++i) {
-    const float wi = w[i];
     const float* vr = v + static_cast<std::size_t>(i) * stride;
-    for (int b = 0; b < F; ++b) acc[b] += wi * load8(vr + 8 * b);
-    if constexpr (T >= 4) acc4 += wi * load4(vr + 8 * F);
-    if constexpr (S > 0) {
-      Vec4 sv = {};
-      for (int t = 0; t < S; ++t) sv[t] = vr[8 * F + T - S + t];
-      accs += wi * sv;
+    for (int h = 0; h < H; ++h) {
+      const float wi = w[static_cast<std::size_t>(h) * wstride + i];
+      const float* vh = vr + h * hd;
+      for (int b = 0; b < F; ++b)
+        acc[h][b] = pinned(acc[h][b] + wi * load8(vh + 8 * b));
+      if constexpr (T >= 4) acc4[h] = pinned(acc4[h] + wi * load4(vh + 8 * F));
+      if constexpr (S > 0) {
+        Vec4 sv = {};
+        for (int t = 0; t < S; ++t) sv[t] = vh[8 * F + T - S + t];
+        accs[h] = pinned(accs[h] + wi * sv);
+      }
     }
   }
-  for (int b = 0; b < F; ++b)
-    *reinterpret_cast<Vec8Ref*>(out + 8 * b) = acc[b];
-  if constexpr (T >= 4) *reinterpret_cast<Vec4Ref*>(tail) = acc4;
-  for (int t = 0; t < S; ++t) tail[T - S + t] = accs[t];
+  for (int h = 0; h < H; ++h) {
+    float* o = out + h * hd;
+    for (int b = 0; b < F; ++b)
+      *reinterpret_cast<Vec8Ref*>(o + 8 * b) = acc[h][b];
+    if constexpr (T >= 4) *reinterpret_cast<Vec4Ref*>(o + 8 * F) = acc4[h];
+    for (int t = 0; t < S; ++t) o[8 * F + T - S + t] = accs[h][t];
+  }
 }
 
-using MixFn = void (*)(const float*, const float*, int, int, float*);
+using MixFn = void (*)(const float*, int, int, const float*, int, int,
+                       float*);
 
-// Widest block: 4 full accumulators plus any tail (up to 39 channels).
+// Widest channel block: 4 full accumulators plus any tail (up to 39
+// channels). Up to kMixHeads heads share one pass over the rows, as many as
+// fit kMixAccumulators registers.
 constexpr int kMixBlocks = 4;
+constexpr int kMixHeads = 4;
+#if defined(__AVX512F__)
+constexpr int kMixAccumulators = 16;
+#else
+constexpr int kMixAccumulators = 8;
+#endif
+constexpr int kMixWidths = (kMixBlocks + 1) * 8;
 
-template <std::size_t... I>
-constexpr std::array<MixFn, sizeof...(I)> mix_table(std::index_sequence<I...>) {
-  return {&mix_block<static_cast<int>(I / 8), static_cast<int>(I % 8)>...};
+template <int H, std::size_t... I>
+constexpr std::array<MixFn, sizeof...(I)> mix_widths(
+    std::index_sequence<I...>) {
+  return {&mix_heads<H, static_cast<int>(I / 8), static_cast<int>(I % 8)>...};
 }
-constexpr auto kMix =
-    mix_table(std::make_index_sequence<(kMixBlocks + 1) * 8>());
+constexpr std::array<std::array<MixFn, kMixWidths>, kMixHeads> kMix = {
+    mix_widths<1>(std::make_index_sequence<kMixWidths>()),
+    mix_widths<2>(std::make_index_sequence<kMixWidths>()),
+    mix_widths<3>(std::make_index_sequence<kMixWidths>()),
+    mix_widths<4>(std::make_index_sequence<kMixWidths>())};
 
 }  // namespace
 
@@ -410,30 +469,39 @@ void matmul_backward(const float* a, const float* b, const float* dc,
   }
 }
 
-void attention_scores(const float* q, const float* k, int stride, int rows,
-                      int hd, float scale, float* scores) {
-  for (int i = 0; i < rows; i += 8) {
-    // A short last group repeats its final row; the extra lanes are
-    // dropped.
-    const float* group[8];
-    for (int u = 0; u < 8; ++u)
-      group[u] = k + static_cast<std::size_t>(std::min(i + u, rows - 1)) *
-                         stride;
-    const Vec8 dots = dot_rows8(q, group, hd) * scale;
-    for (int u = 0; u < 8 && i + u < rows; ++u) scores[i + u] = dots[u];
+void attention_scores(const float* q, std::span<const KeyTile> tiles, int c0,
+                      int hd, float scale, int count, float* scores) {
+  int j = 0;
+  for (const KeyTile& tile : tiles) {
+    if (j >= count) break;
+    const int rows = std::min(tile.rows, count - j);
+    const Vec16 s = dot_tile(q, tile.k + c0 * kKeyTile, hd) * scale;
+    if (rows == kKeyTile) {
+      *reinterpret_cast<Vec16Ref*>(scores + j) = s;
+    } else {
+      for (int u = 0; u < rows; ++u) scores[j + u] = s[u];
+    }
+    j += rows;
   }
 }
 
-void attention_mix(const float* w, const float* v, int stride, int rows,
-                   int hd, float* out) {
+void attention_mix(const float* w, int wstride, int heads, int hd,
+                   const float* v, int stride, int rows, float* out) {
   // Channel blocks of up to 8 * kMixBlocks channels; the last block also
-  // takes the tail (< 8 channels).
-  int c = 0;
-  while (hd - c >= 8 * kMixBlocks + 8) {
-    kMix[kMixBlocks * 8](w, v + c, stride, rows, out + c);
-    c += 8 * kMixBlocks;
+  // takes the tail (< 8 channels). Each block walks the rows once per
+  // group of heads.
+  for (int c = 0; c < hd;) {
+    const int width = hd - c >= 8 * kMixBlocks + 8 ? 8 * kMixBlocks : hd - c;
+    const int per_head = width / 8 + (width % 8 >= 4) + (width % 4 > 0);
+    const int group = std::clamp(kMixAccumulators / per_head, 1, kMixHeads);
+    for (int h = 0; h < heads; h += group) {
+      const int n = std::min(group, heads - h);
+      kMix[static_cast<std::size_t>(n - 1)][static_cast<std::size_t>(width)](
+          w + static_cast<std::size_t>(h) * wstride, wstride, hd,
+          v + h * hd + c, stride, rows, out + h * hd + c);
+    }
+    c += width;
   }
-  kMix[static_cast<std::size_t>(hd - c)](w, v + c, stride, rows, out + c);
 }
 
 void add_bias(const float* x, const float* bias, float* y, int m, int n) {

@@ -52,20 +52,42 @@ void layernorm_backward(const float* x, const float* gain, const float* mean,
                         const float* rstd, const float* dy, float* dx,
                         float* dgain, float* dbias, int m, int n);
 
-// Single-query attention kernels for one head: `hd` channels of a query
-// against `rows` cached rows k_i = k + i * stride (v_i likewise).
-//
-// scores[i] = scale * (q . k_i). Every dot sums its channels in one fixed
-// order: 16-channel blocks accumulate lane-wise, fold to 8 lanes, an
-// 8-channel block adds lane-wise, the 8 lanes reduce pairwise (lane l with
-// l + 4, then l + 2, then l + 1), and the channels left over add one by
-// one. Rows go 8 at a time, so eight independent chains are in flight.
-void attention_scores(const float* q, const float* k, int stride, int rows,
-                      int hd, float scale, float* scores);
-// out[c] += w[i] * v_i[c] for i = 0, 1, ..., rows - 1 in order. The
-// accumulators stay in registers across the rows.
-void attention_mix(const float* w, const float* v, int stride, int rows,
-                   int hd, float* out);
+// Cached keys are stored as key tiles: kKeyTile consecutive positions by
+// all d_model channels, channel-major, so channel c of the tile's row u is
+// tile[c * kKeyTile + u]. One vector load then holds one channel of 16
+// cached rows. Values stay row-major.
+constexpr int kKeyTile = 16;
+
+// Tiles needed to hold `rows` key rows.
+constexpr int key_tiles(int rows) {
+  return rows <= 0 ? 0 : (rows + kKeyTile - 1) / kKeyTile;
+}
+
+// A key tile whose first `rows` rows are live (rows <= kKeyTile; a tile
+// cut short by a small paged block holds fewer). The rows past them are
+// padding: read, never used.
+struct KeyTile {
+  const float* k;
+  int rows;
+};
+
+// Single-query attention for one head: scores[i] = scale * (q . k_i) over
+// the first `count` rows of `tiles` in order, where q is the head's `hd`
+// channels and k_i is channels [c0, c0 + hd) of row i. Each tile is one
+// pass, one lane per row, and every lane sums its channels in one fixed
+// order: 16-channel blocks accumulate lane-wise, fold to 8, an 8-channel
+// block adds lane-wise, the 8 partial sums reduce pairwise (l with l + 4,
+// then l + 2, then l + 1), and the channels left over add one by one.
+// Writes exactly scores[0, count).
+void attention_scores(const float* q, std::span<const KeyTile> tiles, int c0,
+                      int hd, float scale, int count, float* scores);
+// Probabilities times values for every head of one query row: for each
+// head h < heads and channel c < hd,
+//   out[h * hd + c] += w[h * wstride + i] * v_i[h * hd + c]
+// for i = 0, 1, ..., rows - 1 in order, where v_i = v + i * stride. The
+// heads go together, each into its own register accumulators.
+void attention_mix(const float* w, int wstride, int heads, int hd,
+                   const float* v, int stride, int rows, float* out);
 
 // Row-wise softmax; backward uses the forward output.
 void softmax(const float* x, float* y, int m, int n);

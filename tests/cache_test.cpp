@@ -112,15 +112,19 @@ ws::ServiceOptions cached_options() {
 
 TEST(KvCache, CloneCompactsAndKeepsLogitsOnlyAtFullLength) {
   wm::Transformer::KvCache cache = fake_snapshot(10);
+  // Keys are stored as whole 16-row key tiles: one tile covers 10 rows.
+  for (auto& k : cache.keys) k.assign(16 * 8, 1.0f);
   wm::Transformer::KvCache full = cache.clone();
   EXPECT_EQ(full.length, 10);
-  EXPECT_EQ(full.keys[0].size(), 80u);  // compact: exactly length * width
+  EXPECT_EQ(full.keys[0].size(), 128u);  // compact: the covering tiles
+  EXPECT_EQ(full.values[0].size(), 80u);  // exactly length * width
   EXPECT_EQ(full.logits.size(), 16u);
   EXPECT_EQ(full.byte_size(), cache.byte_size());
 
   wm::Transformer::KvCache half = cache.clone(5);
   EXPECT_EQ(half.length, 5);
-  EXPECT_EQ(half.keys[0].size(), 40u);
+  EXPECT_EQ(half.keys[0].size(), 128u);
+  EXPECT_EQ(half.values[0].size(), 40u);
   EXPECT_TRUE(half.logits.empty()) << "partial clone must drop logits";
   EXPECT_LT(half.byte_size(), cache.byte_size());
 }

@@ -9,8 +9,10 @@
 // result through a volatile, which fixes the order as written.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "model/config.hpp"
@@ -209,52 +211,155 @@ TEST_P(KernelThreads, MatmulSkipsZeroActivations) {
     }
 }
 
+// Lays `rows` row-major rows of `d` channels out as key tiles of
+// `tile_rows` live rows each (a paged block smaller than a tile gives
+// short tiles). Padding lanes hold NaN, so a kernel that used one would
+// show it.
+struct TiledKeys {
+  std::vector<std::vector<float>> storage;
+  std::vector<nn::KeyTile> tiles;
+};
+
+TiledKeys tile_keys(const std::vector<float>& k, int rows, int d,
+                    int tile_rows) {
+  TiledKeys out;
+  for (int row0 = 0; row0 < rows; row0 += tile_rows) {
+    const int live = std::min(tile_rows, rows - row0);
+    out.storage.emplace_back(static_cast<std::size_t>(nn::kKeyTile) * d, NAN);
+    std::vector<float>& tile = out.storage.back();
+    for (int u = 0; u < live; ++u)
+      for (int c = 0; c < d; ++c)
+        tile[static_cast<std::size_t>(c) * nn::kKeyTile + u] =
+            k[static_cast<std::size_t>(row0 + u) * d + c];
+  }
+  for (int t = 0; t < static_cast<int>(out.storage.size()); ++t)
+    out.tiles.push_back({out.storage[static_cast<std::size_t>(t)].data(),
+                         std::min(tile_rows, rows - t * tile_rows)});
+  return out;
+}
+
 TEST(DecodeKernels, AttentionScoresMatchReferenceBitForBit) {
   Rng rng(42);
+  std::vector<int> row_counts;
+  for (int rows = 1; rows <= 17; ++rows) row_counts.push_back(rows);
+  row_counts.push_back(33);
+  row_counts.push_back(100);
   for (int hd : {1, 2, 5, 7, 8, 12, 13, 15, 16, 17, 20, 24, 31, 32, 33, 40,
                  48, 64}) {
-    const int stride = 3 * hd + 1;
-    for (int rows : {1, 7, 8, 9, 17, 100}) {
-      const std::vector<float> q = sample(rng, static_cast<std::size_t>(hd));
-      const std::vector<float> k =
-          sample(rng, static_cast<std::size_t>(rows) * stride);
+    // The head sits at an odd channel offset inside wider rows.
+    const int c0 = 3;
+    const int d = c0 + hd + 2;
+    for (int rows : row_counts) {
+      std::vector<float> q = sample(rng, static_cast<std::size_t>(hd));
+      std::vector<float> k = sample(rng, static_cast<std::size_t>(rows) * d);
+      // One infinite key channel, behind a nonzero query channel.
+      q[static_cast<std::size_t>(hd / 2)] = 1.0f;
+      k[static_cast<std::size_t>(rows / 2) * d + c0 + hd / 2] = INFINITY;
       const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-      std::vector<float> got(static_cast<std::size_t>(rows) + 1, 9.0f);
-      std::vector<float> want(got);
-      nn::attention_scores(q.data(), k.data(), stride, rows, hd, scale,
-                           got.data());
+      std::vector<float> want(static_cast<std::size_t>(rows) + 1, 9.0f);
       for (int i = 0; i < rows; ++i)
         want[static_cast<std::size_t>(i)] =
-            reference_dot(q.data(), k.data() + static_cast<std::size_t>(i) *
-                                                   stride,
+            reference_dot(q.data(),
+                          k.data() + static_cast<std::size_t>(i) * d + c0,
                           hd) *
             scale;
-      // The slot past the last row is untouched.
-      ASSERT_TRUE(same_bits(got.data(), want.data(), got.size()))
-          << "hd=" << hd << " rows=" << rows;
+      // Whole tiles (the monolithic layout), and the short tiles of paged
+      // blocks of 3 and 20 rows.
+      for (int tile_rows : {nn::kKeyTile, 3}) {
+        const TiledKeys tiled = tile_keys(k, rows, d, tile_rows);
+        std::vector<float> got(want.size(), 9.0f);
+        nn::attention_scores(q.data(), tiled.tiles, c0, hd, scale, rows,
+                             got.data());
+        // The slot past the last row is untouched.
+        ASSERT_TRUE(same_bits(got.data(), want.data(), got.size()))
+            << "hd=" << hd << " rows=" << rows << " tile_rows=" << tile_rows;
+      }
+      {
+        // Paged blocks of 20 rows: a whole tile and a 4-row one each.
+        TiledKeys tiled;
+        for (int row0 = 0; row0 < rows; row0 += 20) {
+          const int live = std::min(20, rows - row0);
+          const std::vector<float> block(
+              k.begin() + static_cast<std::ptrdiff_t>(row0) * d,
+              k.begin() + static_cast<std::ptrdiff_t>(row0 + live) * d);
+          TiledKeys part = tile_keys(block, live, d, nn::kKeyTile);
+          for (auto& storage : part.storage)
+            tiled.storage.push_back(std::move(storage));
+          tiled.tiles.insert(tiled.tiles.end(), part.tiles.begin(),
+                             part.tiles.end());
+        }
+        std::vector<float> got(want.size(), 9.0f);
+        nn::attention_scores(q.data(), tiled.tiles, c0, hd, scale, rows,
+                             got.data());
+        ASSERT_TRUE(same_bits(got.data(), want.data(), got.size()))
+            << "hd=" << hd << " rows=" << rows << " blocks of 20";
+      }
+      // A causal horizon short of the tiles: only scores[0, count).
+      if (rows > 1) {
+        const TiledKeys tiled = tile_keys(k, rows, d, nn::kKeyTile);
+        std::vector<float> got(want.size(), 9.0f);
+        nn::attention_scores(q.data(), tiled.tiles, c0, hd, scale, rows - 1,
+                             got.data());
+        std::vector<float> cut = want;
+        cut[static_cast<std::size_t>(rows) - 1] = 9.0f;
+        ASSERT_TRUE(same_bits(got.data(), cut.data(), got.size()))
+            << "hd=" << hd << " count=" << rows - 1;
+      }
     }
   }
 }
 
 TEST(DecodeKernels, AttentionMixMatchesReferenceBitForBit) {
   Rng rng(43);
-  for (int hd : {1, 3, 4, 7, 8, 12, 13, 16, 20, 24, 39, 40, 41, 64, 77}) {
-    const int stride = 2 * hd + 3;
-    for (int rows : {1, 5, 33}) {
-      const std::vector<float> w = sample(rng, static_cast<std::size_t>(rows));
-      const std::vector<float> v =
-          sample(rng, static_cast<std::size_t>(rows) * stride);
-      std::vector<float> got = sample(rng, static_cast<std::size_t>(hd) + 1);
-      std::vector<float> want = got;
-      nn::attention_mix(w.data(), v.data(), stride, rows, hd, got.data());
-      for (int i = 0; i < rows; ++i)
-        for (int c = 0; c < hd; ++c)
-          want[static_cast<std::size_t>(c)] = pinned_fma(
-              want[static_cast<std::size_t>(c)],
-              w[static_cast<std::size_t>(i)],
-              v[static_cast<std::size_t>(i) * stride + c]);
-      ASSERT_TRUE(same_bits(got.data(), want.data(), got.size()))
-          << "hd=" << hd << " rows=" << rows;
+  for (int heads : {1, 2, 3, 4, 5, 8})
+    for (int hd : {1, 3, 4, 7, 8, 12, 13, 16, 20, 24, 39, 40, 41, 64, 77}) {
+      const int stride = heads * hd + 3;
+      for (int rows : {1, 5, 33}) {
+        const int wstride = rows + 2;
+        const std::vector<float> w =
+            sample(rng, static_cast<std::size_t>(heads) * wstride);
+        const std::vector<float> v =
+            sample(rng, static_cast<std::size_t>(rows) * stride);
+        std::vector<float> got =
+            sample(rng, static_cast<std::size_t>(heads) * hd + 1);
+        std::vector<float> want = got;
+        nn::attention_mix(w.data(), wstride, heads, hd, v.data(), stride,
+                          rows, got.data());
+        // One head at a time, one channel at a time, rows in order.
+        for (int h = 0; h < heads; ++h)
+          for (int c = 0; c < hd; ++c) {
+            float& acc = want[static_cast<std::size_t>(h) * hd + c];
+            for (int i = 0; i < rows; ++i)
+              acc = pinned_fma(
+                  acc, w[static_cast<std::size_t>(h) * wstride + i],
+                  v[static_cast<std::size_t>(i) * stride + h * hd + c]);
+          }
+        ASSERT_TRUE(same_bits(got.data(), want.data(), got.size()))
+            << "heads=" << heads << " hd=" << hd << " rows=" << rows;
+      }
+    }
+}
+
+// The decode step runs one softmax over every head's scores at once; each
+// head's probabilities must be what softmax of that head's row alone gives,
+// whatever the row length is mod 16.
+TEST(DecodeKernels, StackedHeadSoftmaxMatchesEachHeadAlone) {
+  Rng rng(46);
+  const int heads = 4;
+  for (int count = 1; count <= 48; ++count) {
+    std::vector<float> stacked(static_cast<std::size_t>(heads) * count);
+    for (float& x : stacked) x = static_cast<float>(4.0 * rng.normal());
+    std::vector<float> alone = stacked;
+    nn::softmax(stacked.data(), stacked.data(), heads, count);
+    for (int h = 0; h < heads; ++h) {
+      std::vector<float> row(
+          alone.begin() + static_cast<std::ptrdiff_t>(h) * count,
+          alone.begin() + static_cast<std::ptrdiff_t>(h + 1) * count);
+      nn::softmax(row.data(), row.data(), 1, count);
+      ASSERT_TRUE(same_bits(
+          stacked.data() + static_cast<std::size_t>(h) * count, row.data(),
+          row.size()))
+          << "count=" << count << " head=" << h;
     }
   }
 }

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "model/config.hpp"
@@ -99,10 +100,11 @@ TEST(KvBlockAlloc, RefcountSharing) {
 TEST(KvBlockAlloc, MakeExclusiveCopiesSharedPayload) {
   wm::KvBlockAllocator arena(4, 4, 2, 8);
   const std::int32_t id = arena.allocate();
+  // Block row r's key channel c: lane r of the block's one key tile.
   for (int layer = 0; layer < 2; ++layer)
     for (int row = 0; row < 4; ++row)
       for (int c = 0; c < 8; ++c) {
-        arena.key_row(id, layer, row)[c] =
+        arena.key_tile(id, layer, 0)[c * nn::kKeyTile + row] =
             static_cast<float>(100 * layer + 10 * row + c);
         arena.value_row(id, layer, row)[c] =
             -static_cast<float>(100 * layer + 10 * row + c);
@@ -118,15 +120,15 @@ TEST(KvBlockAlloc, MakeExclusiveCopiesSharedPayload) {
   EXPECT_EQ(arena.ref_count(id), 1);
   EXPECT_EQ(arena.ref_count(copy), 1);
   EXPECT_EQ(arena.stats().cow_copies, 1u);
-  for (int layer = 0; layer < 2; ++layer)
-    for (int row = 0; row < 4; ++row) {
-      EXPECT_EQ(0, std::memcmp(arena.key_row(id, layer, row),
-                               arena.key_row(copy, layer, row),
-                               8 * sizeof(float)));
+  for (int layer = 0; layer < 2; ++layer) {
+    EXPECT_EQ(0, std::memcmp(arena.key_tile(id, layer, 0),
+                             arena.key_tile(copy, layer, 0),
+                             nn::kKeyTile * 8 * sizeof(float)));
+    for (int row = 0; row < 4; ++row)
       EXPECT_EQ(0, std::memcmp(arena.value_row(id, layer, row),
                                arena.value_row(copy, layer, row),
                                8 * sizeof(float)));
-    }
+  }
 }
 
 TEST(KvBlockAlloc, MakeExclusiveExhaustionLeavesRefcount) {
@@ -137,6 +139,32 @@ TEST(KvBlockAlloc, MakeExclusiveExhaustionLeavesRefcount) {
   EXPECT_EQ(arena.make_exclusive(a), -1);
   EXPECT_EQ(arena.ref_count(a), 2);
   EXPECT_EQ(arena.stats().failed_allocations, 1u);
+}
+
+// A block's keys take whole 16-row key tiles: a block of 3 rows pays for
+// 16 rows of keys (and 3 of values), and every byte count the prefix-cache
+// budget reads includes that padding.
+TEST(KvBlockAlloc, BlockBytesCountKeyTilePadding) {
+  const wm::ModelConfig cfg = tiny_config();
+  const wm::Transformer model(cfg, 11);
+  wm::KvBlockAllocator arena(8, 3, cfg.n_layer, cfg.d_model);
+  const std::size_t per_layer =
+      static_cast<std::size_t>(nn::kKeyTile + 3) * cfg.d_model;
+  EXPECT_EQ(arena.block_bytes(), cfg.n_layer * per_layer * sizeof(float));
+
+  wm::Transformer::KvCache cache = model.make_paged_cache(&arena);
+  for (std::int32_t t = 0; t < 7; ++t) model.decode_step(cache, t);
+  ASSERT_EQ(cache.block_table.size(), 3u);  // ceil(7/3)
+  EXPECT_EQ(cache.byte_size(),
+            3 * arena.block_bytes() +
+                cache.logits.capacity() * sizeof(float) +
+                cache.block_table.capacity() * sizeof(std::int32_t));
+
+  // A multiple of the tile pads nothing.
+  wm::KvBlockAllocator whole(2, 32, cfg.n_layer, cfg.d_model);
+  EXPECT_EQ(whole.block_bytes(),
+            cfg.n_layer * 2 * 32 * static_cast<std::size_t>(cfg.d_model) *
+                sizeof(float));
 }
 
 TEST(KvBlockAlloc, FreedBlocksAreReusedWithoutFragmentation) {
@@ -252,6 +280,56 @@ TEST(PagedKvCache, TruncateReleasesTailBlocks) {
   for (std::int32_t t = 40; t < 46; ++t)
     expect_same_logits(model.decode_step(paged, t),
                        model.decode_step(mono, t));
+}
+
+// Keys live in 16-row key tiles in every layout, and a block size that is
+// not a multiple of 16 gives short tiles. Decoding across tile boundaries
+// must give the monolithic cache's logits at every block size, through a
+// clone that is re-grown and appended to, and after materialize().
+TEST(PagedKvCache, KeyTileLayoutsAgreeAcrossBlockSizes) {
+  const wm::ModelConfig cfg = tiny_config();
+  const wm::Transformer model(cfg, 13);
+  Rng rng(17);
+  const std::vector<std::int32_t> tokens =
+      random_prompt(rng, 40, 40, cfg.vocab);
+  const int split = 19;  // mid-tile, past the first tile boundary
+  std::vector<std::vector<float>> want;
+  wm::Transformer::KvCache mono = model.make_cache();
+  for (std::int32_t t : tokens) {
+    const auto logits = model.decode_step(mono, t);
+    want.emplace_back(logits.begin(), logits.end());
+  }
+  auto expect_tail = [&](wm::Transformer::KvCache& cache,
+                         const std::string& label) {
+    for (std::size_t i = split; i < tokens.size(); ++i) {
+      SCOPED_TRACE(label + " row " + std::to_string(i));
+      expect_same_logits(model.decode_step(cache, tokens[i]), want[i]);
+    }
+  };
+  {
+    // Monolithic clone: compacted to whole tiles, re-grown on append.
+    wm::Transformer::KvCache prefix = model.make_cache();
+    for (int i = 0; i < 30; ++i) model.decode_step(prefix, tokens[i]);
+    wm::Transformer::KvCache clone = prefix.clone(split);
+    expect_tail(clone, "monolithic clone");
+  }
+  for (int block_size : {1, 3, 16, 32}) {
+    const std::string label = "block size " + std::to_string(block_size);
+    wm::KvBlockAllocator arena(96, block_size, cfg.n_layer, cfg.d_model);
+    wm::Transformer::KvCache paged = model.make_paged_cache(&arena);
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+      SCOPED_TRACE(label + " row " + std::to_string(i));
+      expect_same_logits(model.decode_step(paged, tokens[i]), want[i]);
+    }
+    // A shared clone diverges by copy-on-write, then re-grows.
+    wm::Transformer::KvCache clone = paged.clone(split);
+    expect_tail(clone, label + " clone");
+    // The same prefix converted to the monolithic layout.
+    wm::Transformer::KvCache moved = paged.clone(split);
+    moved.materialize();
+    ASSERT_FALSE(moved.paged());
+    expect_tail(moved, label + " materialized");
+  }
 }
 
 TEST(PagedKvCache, BeamSearchFromPagedWarmCacheMatches) {
