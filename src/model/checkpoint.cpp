@@ -102,28 +102,29 @@ LoadResult load_checkpoint_ex(std::string_view data) {
                     std::to_string(cfg.vocab) +
                     ", d_model=" + std::to_string(cfg.d_model) + ")");
 
-  Transformer model(cfg, /*seed=*/0);
-  auto params = model.parameters();
+  // Each tensor is copied once, from the verified bytes into the vector
+  // that becomes its weight buffer in a weights-only model.
+  const std::vector<std::size_t> sizes = Transformer::parameter_sizes(cfg);
   std::uint64_t count = reader.get_u64();
-  if (count != params.size())
+  if (count != sizes.size())
     return fail(LoadStatus::BadTensors,
                 "parameter tensor count " + std::to_string(count) +
                     " does not match the config's " +
-                    std::to_string(params.size()));
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    nn::Vec w = reader.get_f32_vec();
-    if (!reader.ok() || w.size() != params[i]->w.size())
+                    std::to_string(sizes.size()));
+  std::vector<nn::Vec> weights(sizes.size());
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    weights[i] = reader.get_f32_vec();
+    if (!reader.ok() || weights[i].size() != sizes[i])
       return fail(LoadStatus::BadTensors,
                   "parameter tensor " + std::to_string(i) +
                       " truncated or of unexpected shape");
-    params[i]->w = std::move(w);
   }
   if (!reader.at_end())
     return fail(LoadStatus::TrailingBytes,
                 "checkpoint has trailing bytes after the last tensor");
 
   LoadResult result;
-  result.model = std::move(model);
+  result.model.emplace(cfg, std::move(weights));
   result.tokenizer = std::move(blob);
   return result;
 }

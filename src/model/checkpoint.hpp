@@ -53,7 +53,10 @@ struct LoadResult {
 std::string save_checkpoint(const Transformer& model,
                             const std::string& tokenizer_blob);
 
-// Restores a model with a typed failure reason.
+// Restores a model with a typed failure reason. The model is weights-only
+// (Transformer's weights constructor): training it sizes its gradient and
+// AdamW buffers on first use, so load -> train matches training the saved
+// model from fresh optimizer state.
 LoadResult load_checkpoint_ex(std::string_view data);
 LoadResult load_checkpoint_file_ex(const std::string& path);
 

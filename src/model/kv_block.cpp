@@ -1,7 +1,9 @@
 #include "model/kv_block.hpp"
 
 #include <cassert>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <stdexcept>
 #include <string>
 
@@ -23,7 +25,9 @@ KvBlockAllocator::KvBlockAllocator(int capacity_blocks, int block_size,
       value_offset_(static_cast<std::size_t>(tiles_) * tile_floats_),
       block_stride_(static_cast<std::size_t>(n_layers) * layer_stride_) {
   assert(capacity_ > 0 && block_size_ > 0 && n_layers_ > 0 && d_ > 0);
-  storage_.assign(static_cast<std::size_t>(capacity_) * block_stride_, 0.0f);
+  storage_.reset(static_cast<float*>(std::calloc(
+      static_cast<std::size_t>(capacity_) * block_stride_, sizeof(float))));
+  if (!storage_) throw std::bad_alloc();
   refs_.assign(static_cast<std::size_t>(capacity_), 0);
   free_.reserve(static_cast<std::size_t>(capacity_));
   // LIFO: block 0 is handed out first.
@@ -92,8 +96,8 @@ std::int32_t KvBlockAllocator::make_exclusive(std::int32_t id) {
   ++cow_copies_;
   const int in_use = capacity_ - static_cast<int>(free_.size());
   if (in_use > peak_in_use_) peak_in_use_ = in_use;
-  std::memcpy(storage_.data() + static_cast<std::size_t>(copy) * block_stride_,
-              storage_.data() + static_cast<std::size_t>(id) * block_stride_,
+  std::memcpy(storage_.get() + static_cast<std::size_t>(copy) * block_stride_,
+              storage_.get() + static_cast<std::size_t>(id) * block_stride_,
               block_stride_ * sizeof(float));
   --refs_[static_cast<std::size_t>(id)];
   return copy;

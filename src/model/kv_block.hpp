@@ -23,11 +23,17 @@
 // The region idiom: all storage is one contiguous allocation owned by
 // the arena; blocks are handles (indices) into it, freed by pushing the
 // index back on a LIFO free list. Blocks are uniform, so there is no
-// external fragmentation — any free block satisfies any request.
+// external fragmentation — any free block satisfies any request. The
+// allocation comes from calloc, so its pages are mapped, zeroed, on first
+// touch: building an arena sized for the worst case costs no page
+// faults, each block's cost moves to the first decode that writes it, and
+// a never-written block reads zero.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -91,19 +97,19 @@ class KvBlockAllocator {
   // owner. Block row r's key is lane r % kKeyTile of key tile
   // r / kKeyTile; its value is a d_model-float row.
   float* key_tile(std::int32_t block, int layer, int tile) {
-    return storage_.data() + layer_offset(block, layer) +
+    return storage_.get() + layer_offset(block, layer) +
            static_cast<std::size_t>(tile) * tile_floats_;
   }
   const float* key_tile(std::int32_t block, int layer, int tile) const {
-    return storage_.data() + layer_offset(block, layer) +
+    return storage_.get() + layer_offset(block, layer) +
            static_cast<std::size_t>(tile) * tile_floats_;
   }
   float* value_row(std::int32_t block, int layer, int row) {
-    return storage_.data() + layer_offset(block, layer) + value_offset_ +
+    return storage_.get() + layer_offset(block, layer) + value_offset_ +
            static_cast<std::size_t>(row) * d_;
   }
   const float* value_row(std::int32_t block, int layer, int row) const {
-    return storage_.data() + layer_offset(block, layer) + value_offset_ +
+    return storage_.get() + layer_offset(block, layer) + value_offset_ +
            static_cast<std::size_t>(row) * d_;
   }
 
@@ -126,7 +132,10 @@ class KvBlockAllocator {
   const std::size_t value_offset_;   // keys -> values skip within a layer
   const std::size_t block_stride_;   // floats per block
 
-  std::vector<float> storage_;
+  struct FreeStorage {
+    void operator()(float* p) const { std::free(p); }
+  };
+  std::unique_ptr<float[], FreeStorage> storage_;
   mutable std::mutex mu_;
   std::vector<std::int32_t> free_;  // LIFO free list of block ids
   std::vector<int> refs_;           // 0 = free

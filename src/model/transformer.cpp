@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "model/kv_block.hpp"
 #include "nn/ops.hpp"
@@ -90,50 +92,73 @@ void for_each_slot(int slots, std::size_t madds, const Body& body) {
 
 }  // namespace
 
-Transformer::Transformer(const ModelConfig& config, std::uint64_t seed)
+Transformer::Transformer(const ModelConfig& config)
     : config_(config),
-      rotary_(nn::rotary_table(config.ctx, config.rotary_dim())) {
+      rotary_(nn::rotary_table(config.ctx, config.rotary_dim())),
+      layers_(static_cast<std::size_t>(config.n_layer)),
+      acts_(layers_.size()) {
   assert(config_.valid());
+}
+
+Transformer::Transformer(const ModelConfig& config, std::uint64_t seed)
+    : Transformer(config) {
+  const std::vector<std::size_t> sizes = parameter_sizes(config_);
+  const std::vector<nn::Param*> params = parameters();
+  for (std::size_t i = 0; i < params.size(); ++i) params[i]->resize(sizes[i]);
+
   util::Rng rng(seed);
-  const int d = config_.d_model;
-  const int ff = config_.d_ff;
-  const int v = config_.vocab;
   const float std_embed = 0.02f;
   // Residual projections scaled by 1/sqrt(2*n_layer) (GPT-2 practice) keeps
   // the residual stream variance flat at init.
   const float std_resid =
       0.02f / std::sqrt(2.0f * static_cast<float>(config_.n_layer));
-
-  wte_.resize(static_cast<std::size_t>(v) * d);
   nn::init_normal(wte_.w, rng, std_embed);
-  head_.resize(static_cast<std::size_t>(d) * v);
   nn::init_normal(head_.w, rng, std_embed);
-  lnf_g_.resize(d);
   nn::fill(lnf_g_.w, 1.0f);
-  lnf_b_.resize(d);
-
-  layers_.resize(static_cast<std::size_t>(config_.n_layer));
   for (Layer& layer : layers_) {
-    layer.ln1_g.resize(d);
     nn::fill(layer.ln1_g.w, 1.0f);
-    layer.ln1_b.resize(d);
-    layer.wqkv.resize(static_cast<std::size_t>(d) * 3 * d);
     nn::init_normal(layer.wqkv.w, rng, std_embed);
-    layer.bqkv.resize(3 * d);
-    layer.wo.resize(static_cast<std::size_t>(d) * d);
     nn::init_normal(layer.wo.w, rng, std_resid);
-    layer.bo.resize(d);
-    layer.ln2_g.resize(d);
     nn::fill(layer.ln2_g.w, 1.0f);
-    layer.ln2_b.resize(d);
-    layer.wfc.resize(static_cast<std::size_t>(d) * ff);
     nn::init_normal(layer.wfc.w, rng, std_embed);
-    layer.bfc.resize(ff);
-    layer.wproj.resize(static_cast<std::size_t>(ff) * d);
     nn::init_normal(layer.wproj.w, rng, std_resid);
-    layer.bproj.resize(d);
   }
-  acts_.resize(layers_.size());
+}
+
+Transformer::Transformer(const ModelConfig& config, std::vector<Vec> weights)
+    : Transformer(config) {
+  const std::vector<std::size_t> sizes = parameter_sizes(config_);
+  if (weights.size() != sizes.size())
+    throw std::invalid_argument("Transformer: " +
+                                std::to_string(weights.size()) +
+                                " weight tensors for a config of " +
+                                std::to_string(sizes.size()));
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    if (weights[i].size() != sizes[i])
+      throw std::invalid_argument("Transformer: weight tensor " +
+                                  std::to_string(i) + " has " +
+                                  std::to_string(weights[i].size()) +
+                                  " floats, the config wants " +
+                                  std::to_string(sizes[i]));
+  }
+  const std::vector<nn::Param*> params = parameters();
+  for (std::size_t i = 0; i < params.size(); ++i)
+    params[i]->w = std::move(weights[i]);
+}
+
+std::vector<std::size_t> Transformer::parameter_sizes(
+    const ModelConfig& config) {
+  const std::size_t d = static_cast<std::size_t>(config.d_model);
+  const std::size_t ff = static_cast<std::size_t>(config.d_ff);
+  const std::size_t v = static_cast<std::size_t>(config.vocab);
+  std::vector<std::size_t> sizes = {v * d};
+  for (std::int32_t l = 0; l < config.n_layer; ++l) {
+    // ln1 g/b, wqkv, bqkv, wo, bo, ln2 g/b, wfc, bfc, wproj, bproj.
+    sizes.insert(sizes.end(), {d, d, d * 3 * d, 3 * d, d * d, d, d, d,
+                               d * ff, ff, ff * d, d});
+  }
+  sizes.insert(sizes.end(), {d, d, d * v});  // lnf g/b, head
+  return sizes;
 }
 
 void Transformer::set_context_window(std::int32_t ctx) {
@@ -340,6 +365,7 @@ float Transformer::run(std::span<const std::int32_t> x,
   if (!backward) return loss;
 
   // --- backward ------------------------------------------------------------
+  for (nn::Param* p : parameters()) p->ensure_grad();
   Vec dfinal_out(rd, 0.0f);
   nn::matmul_backward(final_out_.data(), head_.w.data(), dlogits_.data(),
                       dfinal_out.data(), head_.g.data(), rows, d, v);
@@ -981,7 +1007,12 @@ void Transformer::forward_rows(std::vector<float>* row_logits) const {
                   mean.data(), rstd.data(), n, d);
     nn::matmul(a2.data(), L.wfc.w.data(), fc.data(), n, d, ff);
     nn::add_bias(fc.data(), L.bfc.w.data(), fc.data(), n, ff);
-    nn::gelu(fc.data(), fc.data(), n * ff);
+    // Row by row, so every row takes the same tanh path at any batch width
+    // (the vectorized tanh splits a longer array at other points).
+    for (int r = 0; r < n; ++r) {
+      float* row = fc.data() + static_cast<std::size_t>(r) * ff;
+      nn::gelu(row, row, ff);
+    }
     nn::matmul(fc.data(), L.wproj.w.data(), tmp.data(), n, ff, d);
     nn::add_bias(tmp.data(), L.bproj.w.data(), tmp.data(), n, d);
     for (std::size_t i = 0; i < nd; ++i) x[i] += tmp[i];
@@ -1299,13 +1330,8 @@ std::vector<std::int32_t> Transformer::generate_beam(
 }
 
 std::int32_t Transformer::argmax_token(std::span<const float> logits) const {
-  std::int32_t best = 0;
-  for (std::int32_t j = 1; j < config_.vocab; ++j) {
-    if (logits[static_cast<std::size_t>(j)] >
-        logits[static_cast<std::size_t>(best)])
-      best = j;
-  }
-  return best;
+  assert(logits.size() >= static_cast<std::size_t>(config_.vocab));
+  return nn::argmax(logits.data(), config_.vocab);
 }
 
 std::int32_t Transformer::sample_token(std::span<const float> logits,

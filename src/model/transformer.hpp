@@ -28,7 +28,18 @@ class KvBlockAllocator;
 
 class Transformer {
  public:
+  // A model to train: every parameter randomly initialized from `seed`,
+  // with its gradient and AdamW buffers.
   Transformer(const ModelConfig& config, std::uint64_t seed);
+  // A weights-only model holding `weights`, one tensor per parameter in
+  // parameters() order, moved in: no random init, and no gradient or AdamW
+  // buffers until training first uses them (nn::Param). The checkpoint
+  // loader builds its models this way. Throws std::invalid_argument when
+  // the tensor count or a tensor's size disagrees with parameter_sizes().
+  Transformer(const ModelConfig& config, std::vector<nn::Vec> weights);
+
+  // Float count of every parameter tensor, in parameters() order.
+  static std::vector<std::size_t> parameter_sizes(const ModelConfig& config);
 
   const ModelConfig& config() const { return config_; }
   std::int64_t param_count() const;
@@ -256,6 +267,10 @@ class Transformer {
   std::vector<const nn::Param*> parameters() const;
 
  private:
+  // Shapes nothing: every parameter empty. The public constructors fill
+  // them.
+  explicit Transformer(const ModelConfig& config);
+
   struct Layer {
     nn::Param ln1_g, ln1_b;
     nn::Param wqkv, bqkv;  // [d, 3d], [3d]

@@ -12,6 +12,11 @@ void AdamW::step_param(Param& param, float lr, bool decay) {
   const float bias2 =
       1.0f - std::pow(b2, static_cast<float>(t_));
   const float wd = decay ? config_.weight_decay : 0.0f;
+  param.ensure_grad();
+  if (param.m.size() != param.w.size()) {
+    param.m.assign(param.w.size(), 0.0f);
+    param.v.assign(param.w.size(), 0.0f);
+  }
   for (std::size_t i = 0; i < param.w.size(); ++i) {
     float g = param.g[i];
     param.m[i] = b1 * param.m[i] + (1.0f - b1) * g;

@@ -19,7 +19,8 @@ class AdamW {
 
   // Applies one update to `param` at learning rate `lr`, advancing the
   // bias-correction step only when `advance_step` (call with true on the
-  // first param of each optimizer step).
+  // first param of each optimizer step). A weights-only `param` first gets
+  // its gradient and moments sized, zeroed.
   void step_param(Param& param, float lr, bool decay = true);
   void begin_step() { ++t_; }
   std::int64_t steps() const { return t_; }

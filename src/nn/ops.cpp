@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "util/thread_pool.hpp"
@@ -740,6 +741,66 @@ void embedding_backward(const std::int32_t* ids, const float* dout,
     float* dst = dtable + static_cast<std::size_t>(ids[i]) * dim;
     for (int j = 0; j < dim; ++j) dst[j] += src[j];
   }
+}
+
+// --- argmax ------------------------------------------------------------------
+
+// argmax compares integer keys, not floats: -ffast-math lets the compiler
+// assume no NaN ever appears, so a float compare would not keep the scalar
+// scan's NaN rules. A key orders like the float it comes from, except that
+// -0 and +0 share key 0 and every NaN takes the lowest key, which nothing
+// beats under a strict compare.
+namespace {
+
+using Int16 = std::int32_t __attribute__((vector_size(64)));
+
+constexpr std::int32_t kNanKey = std::numeric_limits<std::int32_t>::min();
+constexpr std::int32_t kInfBits = 0x7f800000;  // above it (sign off): NaN
+
+Int16 order_keys(Int16 bits) {
+  const Int16 mag = bits & 0x7fffffff;
+  const Int16 sign = bits >> 31;          // -1 in the lanes of negatives
+  const Int16 key = (mag ^ sign) - sign;  // -mag for a negative float
+  const Int16 nan = mag > kInfBits;       // -1 in NaN lanes
+  return (key & ~nan) | (nan & kNanKey);
+}
+
+}  // namespace
+
+int argmax(const float* x, int n) {
+  std::int32_t first = 0;
+  std::memcpy(&first, x, sizeof first);
+  if ((first & 0x7fffffff) > kInfBits) return 0;  // the scan never moves
+  // Each lane keeps its strictly greatest key and where that key first
+  // appeared; the first index of the overall greatest key is the smallest
+  // position among the lanes holding it.
+  Int16 best = Int16{} + kNanKey;
+  Int16 at = {};
+  Int16 index = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15};
+  const auto step = [&](Int16 bits) {
+    const Int16 key = order_keys(bits);
+    const Int16 wins = key > best;
+    best = wins ? key : best;
+    at = wins ? index : at;
+    index += 16;
+  };
+  int j = 0;
+  for (; j + 16 <= n; j += 16) {
+    Int16 bits;
+    std::memcpy(&bits, x + j, sizeof bits);
+    step(bits);
+  }
+  if (j < n) {
+    Int16 tail = Int16{} + (kInfBits | 1);  // NaN padding never wins
+    std::memcpy(&tail, x + j, static_cast<std::size_t>(n - j) * sizeof(float));
+    step(tail);
+  }
+  std::int32_t top = best[0];
+  for (int l = 1; l < 16; ++l) top = std::max(top, best[l]);
+  std::int32_t winner = n;
+  for (int l = 0; l < 16; ++l)
+    if (best[l] == top) winner = std::min(winner, at[l]);
+  return winner;
 }
 
 }  // namespace wisdom::nn

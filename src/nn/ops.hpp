@@ -122,6 +122,12 @@ void rotary_backward(float* dx, int t, int dim, const RotaryTable& table,
 float cross_entropy(const float* logits, const std::int32_t* targets,
                     int rows, int vocab, int ignore_index, float* dlogits);
 
+// Index of the greatest of x[0, n), n >= 1, exactly as the scalar scan
+// `best = 0; for (j = 1; j < n; ++j) if (x[j] > x[best]) best = j;` picks
+// it: ties (-0 and +0 included) go to the first index, a NaN never wins,
+// and a NaN at index 0 returns 0. Scans 16 values per vector step.
+int argmax(const float* x, int n);
+
 // Embedding lookup / scatter-add.
 void embedding(const float* table, const std::int32_t* ids, float* out,
                int count, int dim);

@@ -11,7 +11,11 @@ void Param::resize(std::size_t n) {
   v.assign(n, 0.0f);
 }
 
-void Param::zero_grad() { std::fill(g.begin(), g.end(), 0.0f); }
+void Param::zero_grad() { g.assign(w.size(), 0.0f); }
+
+void Param::ensure_grad() {
+  if (g.size() != w.size()) g.assign(w.size(), 0.0f);
+}
 
 void init_normal(Vec& w, util::Rng& rng, float std) {
   for (float& x : w) x = static_cast<float>(rng.normal()) * std;

@@ -15,6 +15,10 @@ namespace wisdom::nn {
 using Vec = std::vector<float>;
 
 // A learnable parameter: weights, gradient accumulator, and AdamW moments.
+// resize() sizes all four; a parameter that only serves (a loaded
+// checkpoint) holds just `w`, and training sizes the others, zeroed, on
+// first use: zero_grad() and ensure_grad() the gradient, the AdamW step
+// the moments. Training from either start gives the same floats.
 struct Param {
   Vec w;
   Vec g;
@@ -25,6 +29,8 @@ struct Param {
   void resize(std::size_t n);
   std::size_t size() const { return w.size(); }
   void zero_grad();
+  // Sizes `g` to `w`, zeroed, unless it already is; keeps a sized `g`.
+  void ensure_grad();
 };
 
 // Normal(0, std) initialization.

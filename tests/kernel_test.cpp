@@ -429,4 +429,43 @@ TEST_P(KernelThreads, FusedStepsAfterWiderOnesMatchSequentialDecode) {
   }
 }
 
+// GELU runs one row at a time, so a fused step gives each row the tanh a
+// one-row step gives it even when d_ff is not a multiple of the vector
+// width (a flattened call split the rows at other points).
+TEST_P(KernelThreads, FusedVerifyMatchesSequentialDecodeAtOddFfWidth) {
+  wisdom::model::ModelConfig config;
+  config.vocab = 64;
+  config.ctx = 32;
+  config.d_model = 30;
+  config.n_head = 3;
+  config.n_layer = 2;
+  config.d_ff = 60;
+  Transformer model(config, 31);
+  Rng rng(45);
+  std::vector<std::vector<std::int32_t>> runs(5);
+  std::vector<Transformer::KvCache> caches;
+  std::vector<Transformer::SpanFeed> feeds;
+  for (std::size_t s = 0; s < runs.size(); ++s) {
+    for (std::size_t t = 0; t < 2 + s; ++t)
+      runs[s].push_back(static_cast<std::int32_t>(rng.uniform_int(0, 63)));
+    caches.push_back(model.make_cache());
+  }
+  for (std::size_t s = 0; s < runs.size(); ++s)
+    feeds.push_back({&caches[s], runs[s]});
+  std::vector<float> rows;
+  model.verify_step_batch(feeds, &rows);
+
+  std::size_t row = 0;
+  for (std::size_t s = 0; s < runs.size(); ++s) {
+    Transformer::KvCache fresh = model.make_cache();
+    for (std::int32_t t : runs[s]) {
+      const std::span<const float> want = model.decode_step(fresh, t);
+      EXPECT_TRUE(same_bits(rows.data() + row * config.vocab, want.data(),
+                            want.size()))
+          << "feed " << s << ", row " << row;
+      ++row;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, KernelThreads, ::testing::Values(1, 4));

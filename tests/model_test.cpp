@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "model/checkpoint.hpp"
 #include "model/config.hpp"
@@ -349,4 +352,117 @@ TEST(Checkpoint, ContinuedTrainingFromCheckpoint) {
   float fresh_loss = wm::Transformer(cfg, 61).evaluate(x, y, 4, 8);
   EXPECT_NEAR(restored->evaluate(x, y, 4, 8), trained_loss, 1e-6);
   EXPECT_LT(trained_loss, fresh_loss * 0.5f);
+}
+
+namespace {
+
+// Every tensor of every parameter, bit for bit.
+void expect_same_params(wm::Transformer& a, wm::Transformer& b,
+                        const std::string& label) {
+  auto pa = a.parameters(), pb = b.parameters();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    for (auto member : {&nn::Param::w, &nn::Param::g, &nn::Param::m,
+                        &nn::Param::v}) {
+      const nn::Vec& x = pa[i]->*member;
+      const nn::Vec& y = pb[i]->*member;
+      ASSERT_EQ(x.size(), y.size()) << label << ", tensor " << i;
+      EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size() * sizeof(float)), 0)
+          << label << ", tensor " << i;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(Checkpoint, LoadedModelIsWeightsOnlyAndResavesIdentically) {
+  wm::ModelConfig cfg = tiny_config();
+  wm::Transformer model(cfg, 71);
+  Rng rng(12);
+  std::vector<std::int32_t> x, y;
+  make_batch(cfg, rng, x, y, 2, 8);
+  nn::AdamW opt;
+  for (int step = 0; step < 5; ++step) {
+    model.zero_grad();
+    model.forward_backward(x, y, 2, 8);
+    model.optim_step(opt, 3e-3f, 1.0f);
+  }
+  const std::string blob = wm::save_checkpoint(model, "tok");
+  auto loaded = wm::load_checkpoint(blob, nullptr);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(wm::save_checkpoint(*loaded, "tok"), blob);
+  for (nn::Param* p : loaded->parameters()) {
+    EXPECT_FALSE(p->w.empty());
+    EXPECT_TRUE(p->g.empty() && p->m.empty() && p->v.empty());
+  }
+
+  wm::Transformer::KvCache want = model.make_cache();
+  wm::Transformer::KvCache got = loaded->make_cache();
+  for (std::int32_t t : {3, 1, 4, 1, 5, 9, 2, 6}) {
+    const std::span<const float> a = model.decode_step(want, t % cfg.vocab);
+    const std::span<const float> b = loaded->decode_step(got, t % cfg.vocab);
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+        << "token " << t;
+  }
+}
+
+// Load -> train (the continue-pretraining flow) gives the floats that
+// training a seed-built model holding the same weights gives.
+TEST(Checkpoint, LoadedAndSeedBuiltModelsTrainIdentically) {
+  wm::ModelConfig cfg = tiny_config();
+  wm::Transformer source(cfg, 73);
+  Rng rng(13);
+  std::vector<std::int32_t> x, y;
+  make_batch(cfg, rng, x, y, 2, 8);
+  nn::AdamW warm;
+  source.zero_grad();
+  source.forward_backward(x, y, 2, 8);
+  source.optim_step(warm, 3e-3f, 1.0f);
+  const std::string blob = wm::save_checkpoint(source, "");
+
+  for (bool zero_first : {true, false}) {
+    auto loaded = wm::load_checkpoint(blob, nullptr);
+    ASSERT_TRUE(loaded.has_value());
+    wm::Transformer seeded(cfg, 5);
+    auto dst = seeded.parameters();
+    auto src = loaded->parameters();
+    for (std::size_t i = 0; i < dst.size(); ++i) dst[i]->w = src[i]->w;
+
+    nn::AdamW opt_loaded, opt_seeded;
+    for (int step = 0; step < 4; ++step) {
+      for (wm::Transformer* m : {&*loaded, &seeded}) {
+        nn::AdamW& opt = m == &seeded ? opt_seeded : opt_loaded;
+        if (zero_first) m->zero_grad();
+        m->forward_backward(x, y, 2, 8);
+        m->optim_step(opt, 3e-3f, 0.5f);
+      }
+    }
+    expect_same_params(*loaded, seeded,
+                       zero_first ? "zero_grad first" : "no zero_grad");
+    EXPECT_EQ(loaded->evaluate(x, y, 2, 8), seeded.evaluate(x, y, 2, 8));
+  }
+}
+
+TEST(Checkpoint, WeightsConstructorChecksEveryShape) {
+  wm::ModelConfig cfg = tiny_config();
+  const std::vector<std::size_t> sizes = wm::Transformer::parameter_sizes(cfg);
+  wm::Transformer seeded(cfg, 1);
+  auto params = seeded.parameters();
+  ASSERT_EQ(sizes.size(), params.size());
+  std::int64_t total = 0;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    EXPECT_EQ(sizes[i], params[i]->size()) << "tensor " << i;
+    total += static_cast<std::int64_t>(sizes[i]);
+  }
+  EXPECT_EQ(total, cfg.param_count());
+
+  std::vector<nn::Vec> weights;
+  for (std::size_t n : sizes) weights.emplace_back(n, 0.5f);
+  EXPECT_EQ(wm::Transformer(cfg, weights).param_count(), cfg.param_count());
+  std::vector<nn::Vec> short_one = weights;
+  short_one[3].pop_back();
+  EXPECT_THROW(wm::Transformer(cfg, short_one), std::invalid_argument);
+  weights.pop_back();
+  EXPECT_THROW(wm::Transformer(cfg, weights), std::invalid_argument);
 }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <functional>
 
 #include "nn/adamw.hpp"
@@ -362,6 +364,91 @@ TEST(Ops, EmbeddingGatherScatter) {
   nn::embedding_backward(ids, dout.data(), dtable.data(), 3, 2);
   EXPECT_FLOAT_EQ(dtable[0], 10);   // from second row
   EXPECT_FLOAT_EQ(dtable[4], 101);  // rows 0 and 2 both hit token 2
+}
+
+// --- argmax ------------------------------------------------------------------
+
+namespace {
+
+// The scalar scan nn::argmax must agree with, compiled without -ffast-math
+// so its NaN compares are IEEE ones.
+int scalar_argmax(const nn::Vec& x) {
+  int best = 0;
+  for (int j = 1; j < static_cast<int>(x.size()); ++j)
+    if (x[static_cast<std::size_t>(j)] > x[static_cast<std::size_t>(best)])
+      best = j;
+  return best;
+}
+
+float from_bits(std::uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof f);
+  return f;
+}
+
+}  // namespace
+
+TEST(Argmax, MatchesScalarScanOnRandomAndEdgeInputs) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nans[] = {nan, -nan, from_bits(0x7f800001u),
+                        from_bits(0xffc00000u), from_bits(0x7fffffffu)};
+  Rng rng(2024);
+  for (int n : {1, 2, 7, 16, 17, 512, 513}) {
+    const std::size_t size = static_cast<std::size_t>(n);
+    auto pos = [&] { return static_cast<std::size_t>(rng.uniform(size)); };
+    std::vector<nn::Vec> cases;
+    for (int trial = 0; trial < 200; ++trial) {
+      nn::Vec x = random_vec(rng, size);
+      // Few distinct values make ties; a few exact zeros of either sign.
+      if (trial % 4 == 1)
+        for (float& v : x) v = static_cast<float>(rng.uniform(3));
+      if (trial % 4 == 2)
+        for (float& v : x) v = rng.uniform(2) ? 0.0f : -0.0f;
+      if (trial % 4 == 3)
+        for (int k = 0; k < 3; ++k) x[pos()] = nans[rng.uniform(5)];
+      cases.push_back(x);
+    }
+    // All equal; the maximum tied at spots in different vector lanes.
+    cases.push_back(nn::Vec(size, 1.5f));
+    nn::Vec tied = random_vec(rng, size);
+    for (int k = 0; k < 4; ++k) tied[pos()] = 9.0f;
+    cases.push_back(tied);
+    // -0 before +0 and +0 before -0 as the maximum.
+    nn::Vec zeros(size, -1.0f);
+    zeros[size - 1] = 0.0f;
+    zeros[size / 2] = -0.0f;
+    cases.push_back(zeros);
+    std::swap(zeros[size - 1], zeros[size / 2]);
+    cases.push_back(zeros);
+    // A NaN at index 0 holds it; NaN elsewhere, even everywhere else,
+    // never wins.
+    for (float bad : nans) {
+      nn::Vec first = random_vec(rng, size);
+      first[0] = bad;
+      first[size - 1] = inf;
+      cases.push_back(first);
+      nn::Vec rest(size, bad);
+      rest[0] = -inf;
+      cases.push_back(rest);
+      nn::Vec all(size, bad);
+      cases.push_back(all);
+    }
+    nn::Vec late(size, -inf);
+    late[size - 1] = -std::numeric_limits<float>::max();
+    cases.push_back(late);
+    nn::Vec infs(size, -inf);
+    infs[pos()] = inf;
+    infs[pos()] = inf;
+    cases.push_back(infs);
+    nn::Vec tiny(size, -std::numeric_limits<float>::denorm_min());
+    tiny[pos()] = std::numeric_limits<float>::denorm_min();
+    cases.push_back(tiny);
+
+    for (std::size_t c = 0; c < cases.size(); ++c)
+      ASSERT_EQ(nn::argmax(cases[c].data(), n), scalar_argmax(cases[c]))
+          << "vocab " << n << ", case " << c;
+  }
 }
 
 // --- optimizer / schedule ----------------------------------------------------------------

@@ -167,6 +167,32 @@ TEST(KvBlockAlloc, BlockBytesCountKeyTilePadding) {
                 sizeof(float));
 }
 
+TEST(KvBlockAlloc, NeverWrittenBlocksReadZero) {
+  // Block size 3 pads each layer's key tile with 13 lanes; those read zero
+  // too, so a padding lane never feeds attention a stale value.
+  wm::KvBlockAllocator arena(4, 3, 2, 8);
+  const std::int32_t written = arena.allocate();
+  for (int layer = 0; layer < 2; ++layer) {
+    float* tile = arena.key_tile(written, layer, 0);
+    for (int i = 0; i < nn::kKeyTile * 8; ++i) tile[i] = 1.0f;
+    for (int row = 0; row < 3; ++row)
+      for (int c = 0; c < 8; ++c) arena.value_row(written, layer, row)[c] = 2.0f;
+  }
+  for (int b = 1; b < 4; ++b) {
+    const std::int32_t id = arena.allocate();
+    ASSERT_NE(id, -1);
+    for (int layer = 0; layer < 2; ++layer) {
+      const float* tile = arena.key_tile(id, layer, 0);
+      for (int i = 0; i < nn::kKeyTile * 8; ++i)
+        EXPECT_EQ(tile[i], 0.0f) << "block " << id << ", key float " << i;
+      for (int row = 0; row < 3; ++row)
+        for (int c = 0; c < 8; ++c)
+          EXPECT_EQ(arena.value_row(id, layer, row)[c], 0.0f)
+              << "block " << id << ", value row " << row;
+    }
+  }
+}
+
 TEST(KvBlockAlloc, FreedBlocksAreReusedWithoutFragmentation) {
   wm::KvBlockAllocator arena(8, 4, 1, 8);
   std::vector<std::int32_t> ids;
